@@ -5,12 +5,13 @@
 //! elements of a summary; [`crate::builder::build_summary`] then materializes
 //! the selection into a validated summary.
 
-use crate::assignment::{assign_elements, summary_coverage};
+use crate::assignment::{assign_elements, summary_coverage, Claim, OwnerRule};
 use crate::dominance::DominanceSet;
 use crate::importance::ImportanceResult;
 use crate::matrices::PairMatrices;
 use schema_summary_core::{ElementId, SchemaError, SchemaGraph, SchemaStats};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// Strategy for `MaxCoverage`'s search over candidate K-subsets.
 ///
@@ -85,34 +86,145 @@ pub fn max_coverage(
     };
 
     match search {
-        SetSearch::Greedy => Ok(greedy(&candidates, k, eval)),
+        SetSearch::Greedy => Ok(greedy(graph, stats, matrices, &candidates, k)),
         SetSearch::Beam { width } => Ok(beam(&candidates, k, width.max(1), eval)),
         SetSearch::Exhaustive { max_sets } => exhaustive(&candidates, k, max_sets, eval),
     }
 }
 
+/// Greedy marginal-gain selection: each round adds the candidate whose
+/// addition scores the highest summary coverage, the earliest in
+/// `remaining` on ties.
+///
+/// A score equals `summary_coverage` over `assign_elements` of the
+/// selection plus the candidate, bit for bit, without building either
+/// (DESIGN.md §3 item 21). Between rounds every element keeps its owner
+/// under the selection `S`. A candidate `c`, selected last, takes an
+/// element either by beating its affinity owner under [`OwnerRule`], or,
+/// when neither `S` nor `c` has positive affinity from it, by being
+/// strictly nearer in undirected hops than every element of `S`: the
+/// assignment's BFS fallback gives each element its nearest selected
+/// element, the earliest selected on ties. One pass over the elements in
+/// id order then adds each element's term to every candidate's sum, so
+/// each sum gets the terms `summary_coverage` adds, in its order.
 fn greedy(
+    graph: &SchemaGraph,
+    stats: &SchemaStats,
+    matrices: &PairMatrices,
     candidates: &[ElementId],
     k: usize,
-    eval: impl Fn(&[ElementId]) -> f64,
 ) -> Vec<ElementId> {
+    let n = graph.len();
+    let rule = OwnerRule::new(graph, matrices);
+    // Hop counts from a source element, computed on first use.
+    let mut hops: Vec<Option<Vec<u32>>> = vec![None; n];
+    let total = stats.total_card();
+    // Per element, under the selection so far: whether it is left out of
+    // the assignment (the root and selected elements), its affinity owner's
+    // claim, its owner's coverage of it, and its hop count to the nearest
+    // selected element.
+    let mut excluded = vec![false; n];
+    excluded[graph.root().index()] = true;
+    let mut claim: Vec<Option<Claim>> = vec![None; n];
+    let mut owner_cov = vec![0.0f64; n];
+    let mut near_hop = vec![u32::MAX; n];
+    // `summary_coverage`'s leading terms: the root's card, then the
+    // selected cards in selection order.
+    let mut base = stats.card(graph.root());
+
     let mut selected: Vec<ElementId> = Vec::with_capacity(k);
     let mut remaining: Vec<ElementId> = candidates.to_vec();
+    let mut covered: Vec<f64> = Vec::with_capacity(remaining.len());
     while selected.len() < k && !remaining.is_empty() {
+        covered.clear();
+        covered.extend(remaining.iter().map(|&c| base + stats.card(c)));
+        for e in graph.element_ids() {
+            let x = e.index();
+            if excluded[x] {
+                continue;
+            }
+            let held = claim[x].as_ref();
+            for (sum, &c) in covered.iter_mut().zip(&remaining) {
+                if c == e {
+                    continue;
+                }
+                *sum += if rule.beats(e, c, held) {
+                    matrices.coverage(c, e)
+                } else if held.is_some() {
+                    owner_cov[x]
+                } else {
+                    // No affinity owner: `c` takes `e` when strictly nearer
+                    // than every selected element, as it always is while
+                    // none is. A coverage equal to the owner's bit for bit
+                    // adds the same term either way, so the hops are
+                    // consulted only when the owner matters.
+                    let cov = matrices.coverage(c, e);
+                    if cov.to_bits() != owner_cov[x].to_bits()
+                        && (selected.is_empty()
+                            || hops[x].get_or_insert_with(|| hops_from(graph, e))[c.index()]
+                                < near_hop[x])
+                    {
+                        cov
+                    } else {
+                        owner_cov[x]
+                    }
+                };
+            }
+        }
         let mut best: Option<(usize, f64)> = None;
-        for (i, &c) in remaining.iter().enumerate() {
-            selected.push(c);
-            let score = eval(&selected);
-            selected.pop();
+        for (i, &sum) in covered.iter().enumerate() {
+            let score = if total <= 0.0 { 0.0 } else { sum / total };
             if best.is_none_or(|(_, b)| score > b) {
                 best = Some((i, score));
             }
         }
         let (i, _) = best.expect("remaining is non-empty");
-        selected.push(remaining.swap_remove(i));
+        let c = remaining.swap_remove(i);
+        excluded[c.index()] = true;
+        let hop = hops[c.index()].get_or_insert_with(|| hops_from(graph, c));
+        for e in graph.element_ids() {
+            let x = e.index();
+            if excluded[x] {
+                continue;
+            }
+            if rule.beats(e, c, claim[x].as_ref()) {
+                claim[x] = Some(rule.claim(e, c));
+                owner_cov[x] = matrices.coverage(c, e);
+            } else if claim[x].is_none() && hop[x] < near_hop[x] {
+                owner_cov[x] = matrices.coverage(c, e);
+            }
+            near_hop[x] = near_hop[x].min(hop[x]);
+        }
+        base += stats.card(c);
+        selected.push(c);
     }
     selected.sort_unstable();
     selected
+}
+
+/// Undirected hop counts over all links from `source` to every element.
+/// Every count is finite, since the structural links alone connect the
+/// graph.
+fn hops_from(graph: &SchemaGraph, source: ElementId) -> Vec<u32> {
+    let mut hops = vec![u32::MAX; graph.len()];
+    hops[source.index()] = 0;
+    let mut queue = VecDeque::from([source]);
+    while let Some(u) = queue.pop_front() {
+        let next = hops[u.index()] + 1;
+        let linked = graph
+            .parent(u)
+            .into_iter()
+            .chain(graph.children(u).iter().copied())
+            .chain(graph.value_links_from(u).iter().copied())
+            .chain(graph.value_links_to(u).iter().copied());
+        for v in linked {
+            if hops[v.index()] == u32::MAX {
+                hops[v.index()] = next;
+                queue.push_back(v);
+            }
+        }
+    }
+    hops
 }
 
 fn beam(
@@ -197,14 +309,18 @@ fn binomial(n: u64, k: u64) -> u64 {
         return 0;
     }
     let k = k.min(n - k);
-    let mut result: u64 = 1;
+    // C(n, i) · (n - i) = C(n, i + 1) · (i + 1), so every step divides
+    // exactly, and the product fits a u128 while C(n, i) fits a u64. The
+    // steps never decrease (i < k <= n / 2), so once past u64::MAX the
+    // result stays there.
+    let mut result: u128 = 1;
     for i in 0..k {
-        result = result.saturating_mul(n - i) / (i + 1);
-        if result == u64::MAX {
+        result = result * u128::from(n - i) / u128::from(i + 1);
+        if result > u128::from(u64::MAX) {
             return u64::MAX;
         }
     }
-    result
+    result as u64
 }
 
 /// `BalanceSummary` (Figure 7): walk elements in descending importance,
@@ -585,6 +701,8 @@ mod tests {
         assert_eq!(binomial(3, 5), 0);
         assert_eq!(binomial(60, 30), binomial(60, 30));
         assert!(binomial(163, 10) > 1_000_000_000);
+        assert_eq!(binomial(64, 32), 1_832_624_140_942_590_534);
+        assert_eq!(binomial(200, 100), u64::MAX);
     }
 
     use crate::assignment::{assign_elements, summary_coverage};

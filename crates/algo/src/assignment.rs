@@ -43,14 +43,12 @@ pub fn assign_elements(
 /// re-clustering path (`refresh_multi_level`) leans on this to recompute
 /// only the elements a delta touched.
 pub struct ElementAssigner<'a> {
-    graph: &'a SchemaGraph,
-    matrices: &'a PairMatrices,
+    rule: OwnerRule<'a>,
     selected: &'a [ElementId],
     is_selected: Vec<bool>,
     /// Fallback owners: multi-source BFS from the selected set over all
     /// links (structural + value, undirected).
     nearest: Vec<Option<usize>>,
-    depth: Vec<usize>,
 }
 
 impl<'a> ElementAssigner<'a> {
@@ -86,14 +84,97 @@ impl<'a> ElementAssigner<'a> {
             }
         }
 
-        let depth: Vec<usize> = graph.element_ids().map(|e| graph.depth(e)).collect();
         ElementAssigner {
-            graph,
-            matrices,
+            rule: OwnerRule::new(graph, matrices),
             selected,
             is_selected,
             nearest,
+        }
+    }
+
+    /// The owner of `e`: the entry a full [`assign_elements`] pass would
+    /// put at `e`'s index.
+    pub fn assign(&self, e: ElementId) -> Option<usize> {
+        if e == self.rule.graph.root() || self.is_selected[e.index()] {
+            return None;
+        }
+        let mut best: Option<(usize, Claim)> = None;
+        for (idx, &s) in self.selected.iter().enumerate() {
+            if self.rule.beats(e, s, best.as_ref().map(|(_, claim)| claim)) {
+                best = Some((idx, self.rule.claim(e, s)));
+            }
+        }
+        match best {
+            Some((idx, _)) => Some(idx),
+            None => self.nearest[e.index()].or(if self.selected.is_empty() {
+                None
+            } else {
+                Some(0)
+            }),
+        }
+    }
+}
+
+/// What an affinity owner holds an element by: the element's affinity
+/// toward the owner, their structural tree distance, and the owner's
+/// coverage of the element.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Claim {
+    affinity: f64,
+    dist: usize,
+    coverage: f64,
+}
+
+/// The pairwise comparison behind [`assign_elements`]: whether a selected
+/// element takes an element from the owner that earlier-selected elements
+/// left it with. Folding it over the selection in order yields the
+/// affinity owner; greedy `MaxCoverage` applies it once per candidate to
+/// owners it maintains across rounds (DESIGN.md §3 item 21).
+pub(crate) struct OwnerRule<'a> {
+    graph: &'a SchemaGraph,
+    matrices: &'a PairMatrices,
+    depth: Vec<usize>,
+}
+
+impl<'a> OwnerRule<'a> {
+    pub(crate) fn new(graph: &'a SchemaGraph, matrices: &'a PairMatrices) -> Self {
+        let depth = graph.element_ids().map(|e| graph.depth(e)).collect();
+        OwnerRule {
+            graph,
+            matrices,
             depth,
+        }
+    }
+
+    /// Whether `s` takes `e` from the owner holding `incumbent`, an element
+    /// selected before `s` (`None`: no earlier-selected element has
+    /// positive affinity from `e`). `s` needs positive affinity from `e`,
+    /// then wins on higher affinity, then on shorter tree distance, then on
+    /// higher coverage; a full tie keeps the earlier-selected owner. The
+    /// tree distance is walked only when the affinities tie.
+    #[inline]
+    pub(crate) fn beats(&self, e: ElementId, s: ElementId, incumbent: Option<&Claim>) -> bool {
+        let a = self.matrices.affinity(e, s);
+        if a <= 0.0 {
+            return false;
+        }
+        let Some(held) = incumbent else {
+            return true;
+        };
+        a > held.affinity
+            || (a == held.affinity && {
+                let dist = self.tree_dist(e, s);
+                dist < held.dist
+                    || (dist == held.dist && self.matrices.coverage(s, e) > held.coverage)
+            })
+    }
+
+    /// The claim `s` holds `e` by once [`OwnerRule::beats`] has given it `e`.
+    pub(crate) fn claim(&self, e: ElementId, s: ElementId) -> Claim {
+        Claim {
+            affinity: self.matrices.affinity(e, s),
+            dist: self.tree_dist(e, s),
+            coverage: self.matrices.coverage(s, e),
         }
     }
 
@@ -115,40 +196,6 @@ impl<'a> ElementAssigner<'a> {
             d += 2;
         }
         d
-    }
-
-    /// The owner of `e`: the entry a full [`assign_elements`] pass would
-    /// put at `e`'s index.
-    pub fn assign(&self, e: ElementId) -> Option<usize> {
-        if e == self.graph.root() || self.is_selected[e.index()] {
-            return None;
-        }
-        let mut best: Option<(usize, f64, usize, f64)> = None;
-        for (idx, &s) in self.selected.iter().enumerate() {
-            let a = self.matrices.affinity(e, s);
-            if a <= 0.0 {
-                continue;
-            }
-            let dist = self.tree_dist(e, s);
-            let c = self.matrices.coverage(s, e);
-            let better = match best {
-                None => true,
-                Some((_, ba, bd, bc)) => {
-                    a > ba || (a == ba && (dist < bd || (dist == bd && c > bc)))
-                }
-            };
-            if better {
-                best = Some((idx, a, dist, c));
-            }
-        }
-        match best {
-            Some((idx, ..)) => Some(idx),
-            None => self.nearest[e.index()].or(if self.selected.is_empty() {
-                None
-            } else {
-                Some(0)
-            }),
-        }
     }
 }
 

@@ -2,10 +2,11 @@
 //! formulas under controlled perturbations of the statistics.
 
 use proptest::prelude::*;
+use schema_summary_algo::assignment::{assign_elements, summary_coverage};
 use schema_summary_algo::importance::{compute_importance, compute_importance_rebased};
 use schema_summary_algo::{
-    build_multi_level, plan_delta, refresh_multi_level, Algorithm, DominanceSet, ImportanceConfig,
-    PairMatrices, PathConfig, PathKernel, PathLength, Summarizer,
+    build_multi_level, max_coverage, plan_delta, refresh_multi_level, Algorithm, DominanceSet,
+    ImportanceConfig, PairMatrices, PathConfig, PathKernel, PathLength, SetSearch, Summarizer,
 };
 use schema_summary_core::stats::LinkCount;
 use schema_summary_core::{
@@ -258,6 +259,70 @@ fn grown_linked_schema(
         links.push(LinkCount { from, to, count });
     }
     (g, cards, links)
+}
+
+/// Greedy `MaxCoverage` scored from scratch: every candidate of every
+/// round gets a full `assign_elements` + `summary_coverage` of the
+/// selection plus the candidate, and the best is taken out of `remaining`
+/// by `swap_remove`. The candidates are `max_coverage`'s: the
+/// non-dominated elements, topped up with dominated ones by descending
+/// cardinality when fewer than `k` remain. The shipped greedy, which keeps
+/// owners across rounds, must return exactly this selection.
+fn greedy_coverage_oracle(
+    g: &SchemaGraph,
+    s: &SchemaStats,
+    m: &PairMatrices,
+    ds: &DominanceSet,
+    k: usize,
+) -> Vec<ElementId> {
+    let mut remaining = ds.non_dominated(g);
+    if remaining.len() < k {
+        let mut rest: Vec<ElementId> = g
+            .element_ids()
+            .filter(|&e| e != g.root() && ds.is_dominated(e))
+            .collect();
+        rest.sort_by(|&a, &b| {
+            s.card(b)
+                .partial_cmp(&s.card(a))
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        let missing = k - remaining.len();
+        remaining.extend(rest.into_iter().take(missing));
+    }
+    let mut selected: Vec<ElementId> = Vec::with_capacity(k);
+    while selected.len() < k && !remaining.is_empty() {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, &c) in remaining.iter().enumerate() {
+            selected.push(c);
+            let score = summary_coverage(g, s, m, &selected, &assign_elements(g, m, &selected));
+            selected.pop();
+            if best.is_none_or(|(_, b)| score > b) {
+                best = Some((i, score));
+            }
+        }
+        let (i, _) = best.expect("remaining is non-empty");
+        selected.push(remaining.swap_remove(i));
+    }
+    selected.sort_unstable();
+    selected
+}
+
+/// Asserts that greedy `max_coverage` returns the oracle's selection, with
+/// bit-identical summary coverage, at every summary size 1..n-1. Returns
+/// how many of those sizes re-admitted dominated candidates.
+fn assert_greedy_matches_oracle(g: &SchemaGraph, s: &SchemaStats, config: &PathConfig) -> usize {
+    let m = PairMatrices::compute(s, config);
+    let ds = DominanceSet::compute(g, s, &m);
+    let non_dominated = ds.non_dominated(g).len();
+    for k in 1..g.len() {
+        let fast = max_coverage(g, s, &m, &ds, k, SetSearch::Greedy).unwrap();
+        let oracle = greedy_coverage_oracle(g, s, &m, &ds, k);
+        assert_eq!(fast, oracle, "k={k}");
+        let cov = |sel: &[ElementId]| summary_coverage(g, s, &m, sel, &assign_elements(g, &m, sel));
+        assert_eq!(cov(&fast).to_bits(), cov(&oracle).to_bits(), "k={k}");
+    }
+    g.len() - 1 - non_dominated
 }
 
 proptest! {
@@ -778,4 +843,66 @@ proptest! {
         }
         prop_assert_eq!(auto.expansions(), explicit.expansions());
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Greedy `MaxCoverage` with maintained owners selects exactly what
+    /// per-candidate re-evaluation selects, on randomized value-linked
+    /// graphs at every summary size. Section cardinalities are drawn from
+    /// a few multiples of 7, so sibling sections often mirror each other:
+    /// their candidates then tie in exact arithmetic, and the pick turns on
+    /// the last bit of each rounded sum. Zero-cardinality sections give
+    /// elements with no positive affinity to anything. A small exploration
+    /// budget truncates some matrix rows, so an element can be covered by
+    /// a candidate it has no affinity to, and its hop-nearest owner then
+    /// moves the score.
+    #[test]
+    fn greedy_coverage_matches_oracle(
+        secs in prop::collection::vec((0u64..4, 1usize..4), 3..7),
+        picks in prop::collection::vec((0usize..64, 0usize..64), 1..8),
+        budget in 2usize..40,
+    ) {
+        let secs: Vec<(u64, usize)> = secs.iter().map(|&(c, fan)| (7 * c, fan)).collect();
+        let (g, s) = linked_schema(&secs, &picks);
+        assert_greedy_matches_oracle(&g, &s, &PathConfig::default());
+        let truncated = PathConfig { max_expansions: budget, ..Default::default() };
+        assert_greedy_matches_oracle(&g, &s, &truncated);
+    }
+
+    /// With every cardinality zero the total is zero, every score is 0,
+    /// and the first remaining candidate wins each round: the tie order
+    /// alone decides the selection.
+    #[test]
+    fn greedy_coverage_all_zero_cardinality(
+        secs in prop::collection::vec((1u64..40, 1usize..5), 3..6),
+        picks in prop::collection::vec((0usize..64, 0usize..64), 1..8),
+    ) {
+        let (g, _) = linked_schema(&secs, &picks);
+        let s = SchemaStats::from_link_counts(&g, &vec![0; g.len()], &[]).unwrap();
+        prop_assert_eq!(s.total_card(), 0.0);
+        assert_greedy_matches_oracle(&g, &s, &PathConfig::default());
+    }
+}
+
+/// When fewer non-dominated candidates remain than the summary size, the
+/// greedy searches the re-admitted dominated elements too, still in the
+/// oracle's order.
+#[test]
+fn greedy_coverage_readmits_dominated_candidates() {
+    let (g, s, _) = build(30, 3, 20, 2);
+    let readmitted = assert_greedy_matches_oracle(&g, &s, &PathConfig::default());
+    assert!(readmitted > 0, "no element is dominated");
+}
+
+/// Two candidates whose covered sums differ in the last bit but whose
+/// ratios to the total round to the same value: the greedy compares
+/// `covered / total`, so the earlier candidate keeps the pick. Found by
+/// `greedy_coverage_matches_oracle` beyond the cases it runs.
+#[test]
+fn greedy_coverage_ties_on_the_ratio() {
+    let secs = [(21, 1), (21, 3), (21, 2), (21, 3), (21, 3), (7, 3)];
+    let (g, s) = linked_schema(&secs, &[(40, 54), (6, 50)]);
+    assert_greedy_matches_oracle(&g, &s, &PathConfig::default());
 }
