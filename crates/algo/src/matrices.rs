@@ -466,6 +466,12 @@ impl PairMatrices {
         self.coverage[a.index() * self.n + b.index()]
     }
 
+    /// Row `a` of the coverage matrix: `C(a → b)` for every `b` in id order.
+    #[inline]
+    pub(crate) fn coverage_row(&self, a: ElementId) -> &[f64] {
+        &self.coverage[a.index() * self.n..][..self.n]
+    }
+
     /// Whether any per-source exploration exhausted its budget (entries are
     /// then lower bounds).
     #[inline]

@@ -12,6 +12,7 @@ use schema_summary_core::stats::LinkCount;
 use schema_summary_core::{
     DeltaClass, ElementId, SchemaDelta, SchemaGraph, SchemaGraphBuilder, SchemaStats, SchemaType,
 };
+use std::collections::HashSet;
 
 /// A two-section schema whose link counts are driven by the inputs:
 /// root -> {a* -> {x, y*}, b* -> {z*}}, b ->V a.
@@ -905,4 +906,178 @@ fn greedy_coverage_ties_on_the_ratio() {
     let secs = [(21, 1), (21, 3), (21, 2), (21, 3), (21, 3), (7, 3)];
     let (g, s) = linked_schema(&secs, &[(40, 54), (6, 50)]);
     assert_greedy_matches_oracle(&g, &s, &PathConfig::default());
+}
+
+/// Elements reachable from `e` by repeatedly moving to the structural
+/// parent or to a value-link referee (footnote 6), excluding `e` itself.
+fn extended_ancestors(graph: &SchemaGraph, e: ElementId) -> Vec<ElementId> {
+    let mut out = Vec::new();
+    let mut seen = HashSet::new();
+    seen.insert(e);
+    let mut stack: Vec<ElementId> = Vec::new();
+    let push_parents = |of: ElementId, stack: &mut Vec<ElementId>| {
+        if let Some(p) = graph.parent(of) {
+            stack.push(p);
+        }
+        for &r in graph.value_links_from(of) {
+            stack.push(r);
+        }
+    };
+    push_parents(e, &mut stack);
+    while let Some(a) = stack.pop() {
+        if !seen.insert(a) {
+            continue;
+        }
+        out.push(a);
+        push_parents(a, &mut stack);
+    }
+    out
+}
+
+/// Theorem 1 for the ordered pair "`e1` dominates `e2`", with its own
+/// pass over the coverage rows: `E` is the elements covered strictly
+/// better by `e2` than by `e1`.
+fn theorem1_dominates(
+    e1: ElementId,
+    e2: ElementId,
+    graph: &SchemaGraph,
+    stats: &SchemaStats,
+    matrices: &PairMatrices,
+    best_coverer: &[Option<(ElementId, f64)>],
+) -> bool {
+    let mut c1 = 0.0;
+    let mut c2 = 0.0;
+    for e in graph.element_ids() {
+        let by2 = matrices.coverage(e2, e);
+        let by1 = matrices.coverage(e1, e);
+        if by2 > by1 {
+            c1 += by1;
+            c2 += by2;
+        }
+    }
+    let diff = c2 - c1;
+    let card1 = stats.card(e1);
+    if diff > card1 - matrices.coverage(e2, e1) {
+        return false;
+    }
+    if let Some((ec, cov_ec)) = best_coverer[e1.index()] {
+        if ec != e2 && diff > card1 - cov_ec {
+            return false;
+        }
+    }
+    true
+}
+
+/// Dominance evaluated one ordered pair at a time: a column-by-column
+/// best-coverer scan, then [`theorem1_dominates`] for both orders of every
+/// (descendant, extended ancestor) visit. Returns the pairs, the dominated
+/// flags and the number of ordered pairs checked.
+fn dominance_oracle(
+    graph: &SchemaGraph,
+    stats: &SchemaStats,
+    matrices: &PairMatrices,
+) -> (HashSet<(ElementId, ElementId)>, Vec<bool>, usize) {
+    let n = graph.len();
+    let best_coverer: Vec<Option<(ElementId, f64)>> = (0..n as u32)
+        .map(|t| {
+            let target = ElementId(t);
+            let mut best: Option<(ElementId, f64)> = None;
+            for s in 0..n as u32 {
+                let src = ElementId(s);
+                if src == target {
+                    continue;
+                }
+                let c = matrices.coverage(src, target);
+                if best.is_none_or(|(_, bc)| c > bc) {
+                    best = Some((src, c));
+                }
+            }
+            best
+        })
+        .collect();
+    let mut pairs = HashSet::new();
+    let mut dominated = vec![false; n];
+    let mut checked = 0;
+    for desc in graph.element_ids() {
+        for anc in extended_ancestors(graph, desc) {
+            for (e1, e2) in [(anc, desc), (desc, anc)] {
+                checked += 1;
+                if theorem1_dominates(e1, e2, graph, stats, matrices, &best_coverer) {
+                    pairs.insert((e1, e2));
+                    dominated[e2.index()] = true;
+                }
+            }
+        }
+    }
+    (pairs, dominated, checked)
+}
+
+/// Asserts that the lane kernel finds exactly the oracle's dominance:
+/// the same pairs, dominated flags, pair count and checked pairs.
+/// Returns the largest ancestor set seen, so callers can confirm that
+/// several sweeps per element ran.
+fn assert_dominance_matches_oracle(g: &SchemaGraph, s: &SchemaStats, config: &PathConfig) -> usize {
+    let m = PairMatrices::compute(s, config);
+    let ds = DominanceSet::compute(g, s, &m);
+    let (pairs, dominated, checked) = dominance_oracle(g, s, &m);
+    assert_eq!(ds.pairs().collect::<HashSet<_>>(), pairs);
+    assert_eq!(ds.len(), pairs.len());
+    assert_eq!(ds.checked_pairs, checked);
+    for e in g.element_ids() {
+        assert_eq!(ds.is_dominated(e), dominated[e.index()], "{}", g.label(e));
+    }
+    g.element_ids()
+        .map(|e| extended_ancestors(g, e).len())
+        .max()
+        .unwrap_or(0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The lane kernel scores both directions of up to eight ancestor
+    /// pairs per sweep; the oracle runs one pass per ordered pair. They
+    /// must agree exactly on randomized value-linked graphs. Value-link
+    /// cycles make two elements each other's ancestors, so such a pair is
+    /// visited from both ends. Section cardinalities are multiples of 7,
+    /// so mirrored sections give exact ties `C(anc → e) == C(desc → e)`,
+    /// and zero-cardinality sections give many `0 == 0` ties. A small
+    /// exploration budget truncates some rows.
+    #[test]
+    fn dominance_kernel_matches_oracle(
+        secs in prop::collection::vec((0u64..4, 1usize..5), 3..9),
+        picks in prop::collection::vec((0usize..64, 0usize..64), 1..24),
+        budget in 2usize..40,
+    ) {
+        let secs: Vec<(u64, usize)> = secs.iter().map(|&(c, fan)| (7 * c, fan)).collect();
+        let (g, s) = linked_schema(&secs, &picks);
+        assert_dominance_matches_oracle(&g, &s, &PathConfig::default());
+        let truncated = PathConfig { max_expansions: budget, ..Default::default() };
+        assert_dominance_matches_oracle(&g, &s, &truncated);
+    }
+
+    /// With every cardinality zero, every coverage entry is +0.0: every
+    /// element ties in every pair, no `E` has a member, and the bounds
+    /// alone decide.
+    #[test]
+    fn dominance_kernel_all_zero_cardinality(
+        secs in prop::collection::vec((1u64..40, 1usize..5), 3..6),
+        picks in prop::collection::vec((0usize..64, 0usize..64), 1..16),
+    ) {
+        let (g, _) = linked_schema(&secs, &picks);
+        let s = SchemaStats::from_link_counts(&g, &vec![0; g.len()], &[]).unwrap();
+        assert_dominance_matches_oracle(&g, &s, &PathConfig::default());
+    }
+}
+
+/// A fixed, densely value-linked case, with cycles, in which some
+/// elements have more than `2 · 8` ancestors and so take three sweeps:
+/// the kernel must still match the oracle there.
+#[test]
+fn dominance_kernel_runs_several_sweeps_per_element() {
+    let secs = [(7, 4), (14, 4), (0, 3), (21, 4), (7, 2), (14, 4)];
+    let picks: Vec<(usize, usize)> = (0..24).map(|i| (3 * i + 2, 5 * i + 7)).collect();
+    let (g, s) = linked_schema(&secs, &picks);
+    let widest = assert_dominance_matches_oracle(&g, &s, &PathConfig::default());
+    assert!(widest > 16, "widest ancestor set {widest}");
 }
