@@ -16,7 +16,7 @@
 //! the RC value itself is never multiplied), and the `rc_factor`/`w_back`
 //! bits that enter the path products. Cardinalities are read exactly once
 //! per row, *after* exploration, when the coverage row is written as
-//! `Card(b) · product`. Both kernels record the exact set of elements each
+//! `Card(b) · product`. The kernel records the exact set of elements each
 //! source's trace consulted ([`SourceResult::reads`](crate::paths::
 //! SourceResult)), and the matrices persist it per row together with the
 //! raw path products. So:
@@ -24,8 +24,8 @@
 //! * if every element in row `a`'s recorded read set carries bit-identical
 //!   *exploration-relevant* bits in the old and new versions, the new
 //!   trace reads the same bits at every step and is identical end to end —
-//!   products, pruning decisions, expansion counts, truncation flags, and
-//!   the read set itself;
+//!   products, expansion counts, truncation flags, and the read set
+//!   itself;
 //! * the coverage row-write is then redone by the splice for *every* row
 //!   from the stored products under the new cardinalities — the exact
 //!   multiply a cold pass performs — so cardinality bits never force a
@@ -37,10 +37,7 @@
 //! clamped at 1 (the common data-growth case: RC ≤ 1 edges get *less*
 //! selective as the element grows) and `w_back` — a count ratio, computed
 //! count-natively by `SchemaStats::from_link_counts` — is unchanged marks
-//! *zero* rows: the splice is then a pure rescale. This holds for both the
-//! DFS and the layered kernel; the plan additionally refuses to fire when
-//! the resolved kernel differs between versions (it cannot under graph
-//! equality, but the guard keeps the invariant local).
+//! *zero* rows: the splice is then a pure rescale.
 //!
 //! The plan applies to two shapes of delta, routed by
 //! [`DeltaClass`](schema_summary_core::DeltaClass):
@@ -109,17 +106,17 @@ impl DeltaPlan {
 ///
 /// * the delta has no structural changes (`old_graph == new_graph` and the
 ///   delta lists no added/removed/retyped elements or changed value links);
-/// * both stats cover the same element space as the graph, and
-///   `old_matrices` (the matrices computed over `old_stats`, whose rows the
-///   splice will reuse) carry per-source read sets of the same shape;
-/// * the path kernel resolves identically for both versions (automatic
-///   under graph equality, asserted anyway);
+/// * both stats cover the same element space as the graph, and so does
+///   `old_matrices` (the matrices computed over `old_stats`, whose rows
+///   the splice will reuse);
 /// * the re-exploration set covers at most `max_fraction` of all elements
 ///   (`max_fraction` outside `(0, 1]` disables that guard). Pure-rescale
 ///   plans (zero rows) always qualify: their splice costs one multiply per
 ///   matrix cell, no matter how many cardinalities moved.
 ///
 /// An empty delta yields a zero-row plan (see [`DeltaPlan::is_noop`]).
+/// The plan reads only the read sets recorded in `old_matrices`, so it
+/// does not depend on the path configuration they were computed under.
 // Two (graph, stats) versions plus the old matrices and knobs: the arity
 // is the problem's, and bundling would just move the names into a struct
 // every caller builds inline.
@@ -131,7 +128,7 @@ pub fn plan_delta(
     new_graph: &SchemaGraph,
     new_stats: &SchemaStats,
     old_matrices: &PairMatrices,
-    config: &PathConfig,
+    _config: &PathConfig,
     max_fraction: f64,
 ) -> Option<DeltaPlan> {
     let n = new_graph.len();
@@ -153,7 +150,6 @@ pub fn plan_delta(
                 new_graph,
                 new_stats,
                 old_matrices,
-                config,
                 max_fraction,
             );
         }
@@ -162,15 +158,12 @@ pub fn plan_delta(
     if old_graph != new_graph {
         return None;
     }
-    if old_stats.len() != n || new_stats.len() != n {
-        return None;
-    }
-    if config.effective_kernel(old_stats) != config.effective_kernel(new_stats) {
+    if old_stats.len() != n || new_stats.len() != n || old_matrices.len() != n {
         return None;
     }
 
     // Touched = elements whose *exploration-relevant* record bits differ:
-    // edge-list shape, per-edge traversability (the kernels read `rc` only
+    // edge-list shape, per-edge traversability (the kernel reads `rc` only
     // through `rc > 0` gates), and the `rc_factor`/`w_back` bits the path
     // products multiply — exactly the slice `SchemaStats::
     // exploration_bits_eq` compares. Comparing bits (not ==) keeps the
@@ -197,7 +190,7 @@ pub fn plan_delta(
     // never read it untouched, even in a graph whose diameter is inside the
     // exploration horizon — and a pure cardinality delta touches no rows at
     // all.
-    let recompute = old_matrices.rows_reading(&touched_set)?;
+    let recompute = old_matrices.rows_reading(&touched_set);
     let rows = recompute.iter().filter(|&&b| b).count();
     if max_fraction > 0.0 && max_fraction <= 1.0 && (rows as f64) > max_fraction * (n as f64) {
         return None;
@@ -223,20 +216,20 @@ pub fn plan_delta(
 /// plus every appended row. The `max_fraction` guard counts grown rows.
 ///
 /// Returns `None` (cold fallback) when the extension is not identity-prefix
-/// (renumbered or reordered old elements), when shapes or kernels disagree,
-/// or when the guard trips.
+/// (renumbered or reordered old elements), when shapes disagree, or when
+/// the guard trips.
 fn plan_grown(
     old_graph: &SchemaGraph,
     old_stats: &SchemaStats,
     new_graph: &SchemaGraph,
     new_stats: &SchemaStats,
     old_matrices: &PairMatrices,
-    config: &PathConfig,
     max_fraction: f64,
 ) -> Option<DeltaPlan> {
     let n = new_graph.len();
     let n_old = old_graph.len();
-    if n < n_old || old_stats.len() != n_old || new_stats.len() != n {
+    if n < n_old || old_stats.len() != n_old || new_stats.len() != n || old_matrices.len() != n_old
+    {
         return None;
     }
     // Identity-prefix check: the old element space must embed unchanged at
@@ -250,18 +243,12 @@ fn plan_grown(
     if !prefix_intact {
         return None;
     }
-    // Growth can move the auto-resolved kernel (n crosses the layered
-    // threshold): expansions metadata differs between kernels even when
-    // values agree, so a flip forces a cold pass.
-    if config.effective_kernel(old_stats) != config.effective_kernel(new_stats) {
-        return None;
-    }
 
     // Diff old rows on replay bits. A row whose edge slice gained a
     // *traversable* neighbor (a populated growth endpoint) diverges; a row
     // whose `w_back` bits moved because a neighbor's in-weight sum changed
     // differs in lane bits. Dormant growth — new edges with no instances
-    // yet (`rc == 0`) — leaves a row replayable: every kernel skips
+    // yet (`rc == 0`) — leaves a row replayable: the kernel skips
     // non-traversable edges before its budget, expansion count, or read
     // set, so the row's trace is bitwise invariant. Rows passing the
     // comparison never reach a new element — traversable edges into the
@@ -277,7 +264,7 @@ fn plan_grown(
         rescaled |= old_stats.card(e).to_bits() != new_stats.card(e).to_bits();
     }
 
-    let mut recompute = old_matrices.rows_reading(&touched_old)?;
+    let mut recompute = old_matrices.rows_reading(&touched_old);
     recompute.resize(n, true); // every appended source row computes fresh
     let rows = recompute.iter().filter(|&&b| b).count();
     if max_fraction > 0.0 && max_fraction <= 1.0 && (rows as f64) > max_fraction * (n as f64) {
@@ -610,6 +597,73 @@ mod tests {
         let warm = old_m.splice(&new, &config, &plan.recompute).unwrap();
         let cold = PairMatrices::compute(&new, &config);
         assert!(warm.bitwise_eq(&cold));
+    }
+
+    /// A populated tree of 47 elements: the root, six sections and 40
+    /// leaves, every link carrying instances. With `dormant`, one leaf is
+    /// appended under the first section with no instances on its link.
+    fn tree_47(dormant: bool) -> (SchemaGraph, Vec<u64>, Vec<LinkCount>) {
+        let mut b = SchemaGraphBuilder::new("db");
+        let root = b.root();
+        let mut cards = vec![1u64];
+        let mut links = Vec::new();
+        let mut first_section = root;
+        for (i, leaves) in [7u64, 7, 7, 7, 6, 6].into_iter().enumerate() {
+            let card = 10 * (i as u64 + 1);
+            let sec = b
+                .add_child(root, format!("s{i}"), SchemaType::set_of_rcd())
+                .unwrap();
+            if i == 0 {
+                first_section = sec;
+            }
+            cards.push(card);
+            links.push(LinkCount {
+                from: root,
+                to: sec,
+                count: card,
+            });
+            for j in 0..leaves {
+                let leaf = b
+                    .add_child(sec, format!("s{i}l{j}"), SchemaType::set_of_rcd())
+                    .unwrap();
+                cards.push(card * (j + 1));
+                links.push(LinkCount {
+                    from: sec,
+                    to: leaf,
+                    count: card * (j + 1),
+                });
+            }
+        }
+        if dormant {
+            b.add_child(first_section, "w", SchemaType::set_of_rcd())
+                .unwrap();
+            cards.push(12);
+        }
+        (b.build().unwrap(), cards, links)
+    }
+
+    #[test]
+    fn dormant_growth_past_47_elements_recomputes_one_row() {
+        // Growth keeps every old row's trace at any schema size, so a
+        // dormant element appended to 47 elements costs exactly its own
+        // row (DESIGN.md §3.19 says why 47 is the size to check).
+        let (g, cards, links) = tree_47(false);
+        assert_eq!(g.len(), 47);
+        let old = SchemaStats::from_link_counts(&g, &cards, &links).unwrap();
+        let (g2, new_cards, new_links) = tree_47(true);
+        let new = SchemaStats::from_link_counts(&g2, &new_cards, &new_links).unwrap();
+        let d = SchemaDelta::compute(&g, &old, &g2, &new);
+        assert_eq!(d.class, DeltaClass::AdditiveStructural);
+        let config = PathConfig::default();
+        let old_m = PairMatrices::compute(&old, &config);
+        let plan = plan_delta(&d, &g, &old, &g2, &new, &old_m, &config, 1.0)
+            .expect("dormant growth plans warm");
+        let mut only_appended = vec![false; 48];
+        only_appended[47] = true;
+        assert_eq!(plan.recompute, only_appended);
+        assert_eq!(plan.rows, 1);
+        let warm = old_m.splice(&new, &config, &plan.recompute).unwrap();
+        assert!(warm.bitwise_eq(&PairMatrices::compute(&new, &config)));
     }
 
     #[test]

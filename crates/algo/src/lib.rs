@@ -63,5 +63,5 @@ pub use incremental::{plan_delta, DeltaPlan};
 pub use matrices::{PairMatrices, DEFAULT_SOURCE_BATCH};
 pub use monitor::{RefreshReport, SummaryMonitor};
 pub use multilevel::{build_multi_level, refresh_multi_level, MultiLevelSummary};
-pub use paths::{Explorer, PathConfig, PathKernel, PathLength};
+pub use paths::{Explorer, PathConfig, PathLength};
 pub use summarizer::{Algorithm, Summarizer, SummarizerConfig};

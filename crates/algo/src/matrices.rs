@@ -7,38 +7,35 @@
 //! matrices repeatedly, so computing them once up front dominates
 //! recomputation.
 //!
-//! Per-source explorations are fully independent, so the cold pass scales by
-//! fanning sources out to scoped worker threads. Sources are handed out
-//! through a shared atomic counter (work stealing) rather than static
-//! chunks: exploration cost varies wildly per source — a source inside a
-//! densely value-linked region can cost orders of magnitude more than a
-//! leaf — and static chunking strands every other worker behind the
-//! unluckiest chunk. Workers send finished rows over a channel and the
-//! calling thread assembles the matrices, keeping the crate free of
-//! `unsafe` row aliasing.
-//!
-//! When the configuration resolves to the layered kernel, the counter hands
-//! out source *batches* of [`DEFAULT_SOURCE_BATCH`] instead of single
-//! sources: each worker advances its whole batch through one
-//! [`Explorer::explore_batch`] frontier sweep per layer, streaming the CSR
-//! edge lanes once per layer for the batch rather than once per source.
-//! DFS-resolving configurations keep single-source handout (the DFS kernel
-//! has no cross-source sharing to exploit, and finer granularity steals
-//! better).
+//! One loop builds every matrix. It hands sources out in batches of
+//! [`DEFAULT_SOURCE_BATCH`], taken in BFS locality order, and each batch
+//! advances through one [`Explorer::explore_batch`] frontier sweep per
+//! layer, streaming the CSR edge lanes once per layer for the whole batch
+//! rather than once per source. Per-source explorations are independent,
+//! so on more than one thread the batches are handed out through a shared
+//! atomic counter (work stealing) rather than static chunks: exploration
+//! cost varies wildly per source — a source inside a densely value-linked
+//! region can cost orders of magnitude more than a leaf — and static
+//! chunking strands every other worker behind the unluckiest chunk.
+//! Workers send finished rows over a channel and the calling thread
+//! assembles the matrices, keeping the crate free of `unsafe` row aliasing.
 
-use crate::paths::{Explorer, PathConfig, PathKernel, SourceResult};
+use crate::paths::{Explorer, PathConfig, SourceResult};
 use schema_summary_core::{ElementId, SchemaStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-/// Sources per work-stealing handout when the layered kernel resolves.
-/// The batched kernel's win scales with *lane density* — how many of a
-/// batch's sources have overlapping frontiers at each relaxed node — and
-/// with the arena working set staying cache-resident; 16 lanes measured
-/// fastest across the bench schemas on both axes (BENCH_matrices.json),
-/// ahead of 8 (metadata amortized over too few lanes) and 32+ (arenas
-/// spill L2 on thousand-element schemas).
+/// Sources per work-stealing handout. The batched kernel's win scales with
+/// *lane density* — how many of a batch's sources have overlapping
+/// frontiers at each relaxed node — and with the arena working set staying
+/// cache-resident; 16 lanes measured fastest across the bench schemas on
+/// both axes (BENCH_matrices.json), ahead of 8 (metadata amortized over too
+/// few lanes) and 32+ (arenas spill L2 on thousand-element schemas).
 pub const DEFAULT_SOURCE_BATCH: usize = 16;
+
+/// Below this many elements [`PairMatrices::compute`] runs on the calling
+/// thread: thread spawn overhead outweighs the per-source work.
+const PARALLEL_THRESHOLD: usize = 64;
 
 /// Source handout order for batched computes: breadth-first from each
 /// unvisited node over traversable edges. Sources batched together should
@@ -80,12 +77,11 @@ fn locality_order(stats: &SchemaStats) -> Vec<ElementId> {
 
 /// Per-source exploration metadata, kept alongside the dense matrices so a
 /// row-level splice ([`PairMatrices::splice`]) can rebuild the run-wide
-/// flags and expansion count as the exact fold a from-scratch compute would
-/// produce. Absent only on matrices decoded from the legacy disk format.
+/// flag and expansion count as the exact fold a from-scratch compute would
+/// produce.
 #[derive(Debug, Clone)]
 struct SourceMeta {
     truncated: Vec<bool>,
-    floored: Vec<bool>,
     expansions: Vec<u64>,
     /// Per-source read sets (sorted element ids): exactly the elements
     /// whose stats records source `a`'s exploration consulted (see
@@ -108,7 +104,6 @@ impl SourceMeta {
     fn zeroed(n: usize) -> Self {
         SourceMeta {
             truncated: vec![false; n],
-            floored: vec![false; n],
             expansions: vec![0; n],
             visited: vec![Vec::new(); n],
             cov_product: vec![0.0; n * n],
@@ -123,134 +118,30 @@ pub struct PairMatrices {
     affinity: Vec<f64>,
     coverage: Vec<f64>,
     truncated: bool,
-    floored: bool,
     expansions: u64,
-    per_source: Option<SourceMeta>,
+    per_source: SourceMeta,
 }
 
 impl PairMatrices {
     /// Compute both matrices for `stats` under `config`, parallelizing
-    /// across source elements when the schema reaches
-    /// [`PathConfig::parallel_threshold`] and more than one CPU is
-    /// available.
+    /// across source elements once the schema is large enough to repay
+    /// the thread spawns and more than one CPU is available.
     pub fn compute(stats: &SchemaStats, config: &PathConfig) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
+        let threads = if stats.len() < PARALLEL_THRESHOLD {
+            1
+        } else {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        };
         Self::compute_with_threads(stats, config, threads)
     }
 
-    /// [`compute`](Self::compute) with an explicit worker-thread count
-    /// (primarily for tests and benchmarks that need the parallel path on
-    /// machines where `available_parallelism` would fall back to serial).
-    /// Layered-resolving configurations run the batched kernel with
-    /// [`DEFAULT_SOURCE_BATCH`] sources per handout; DFS keeps single-source
-    /// handout. Results are bit-identical either way.
+    /// [`compute`](Self::compute) on exactly `threads` worker threads,
+    /// whatever the schema size (`threads ≤ 1` runs on the calling
+    /// thread). The output is bit-identical for every thread count; tests
+    /// and benchmarks use this to pin the parallel or the serial path.
     pub fn compute_with_threads(stats: &SchemaStats, config: &PathConfig, threads: usize) -> Self {
-        let batch = match config.effective_kernel(stats) {
-            PathKernel::Layered => DEFAULT_SOURCE_BATCH,
-            _ => 1,
-        };
-        Self::compute_with_threads_batched(stats, config, threads, batch)
-    }
-
-    /// The work-stealing driver with an explicit source-batch size: the
-    /// shared counter hands each worker `batch` consecutive sources, which
-    /// advance through one [`Explorer::explore_batch`] call. `batch ≤ 1`
-    /// reproduces the single-source driver exactly (per-source
-    /// [`Explorer::explore`], the bitwise reference); batches above
-    /// [`crate::paths::MAX_BATCH_LANES`] are chunked by the kernel. Exposed
-    /// for benchmarks that sweep batch sizes; output is bit-identical to
-    /// [`compute_serial`](Self::compute_serial) for every batch size.
-    pub fn compute_with_threads_batched(
-        stats: &SchemaStats,
-        config: &PathConfig,
-        threads: usize,
-        batch: usize,
-    ) -> Self {
-        let n = stats.len();
-        let batch = batch.max(1);
-        if n < config.parallel_threshold || threads < 2 {
-            return Self::compute_serial_batched(stats, config, batch);
-        }
-        let mut out = Self::zeroed(n);
-        let order = if batch > 1 {
-            locality_order(stats)
-        } else {
-            Vec::new()
-        };
-        let next_source = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(Vec<ElementId>, Vec<SourceResult>)>();
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(n) {
-                let tx = tx.clone();
-                let next_source = &next_source;
-                let order = &order;
-                scope.spawn(move || {
-                    let mut explorer = Explorer::new(n);
-                    loop {
-                        let start = next_source.fetch_add(batch, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + batch).min(n);
-                        let (sources, results) = if batch == 1 {
-                            let src = ElementId(start as u32);
-                            (vec![src], vec![explorer.explore(src, stats, config)])
-                        } else {
-                            let chunk = order[start..end].to_vec();
-                            let results = explorer.explore_batch(&chunk, stats, config);
-                            (chunk, results)
-                        };
-                        if tx.send((sources, results)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            while let Ok((sources, results)) = rx.recv() {
-                for (src, res) in sources.iter().zip(&results) {
-                    out.write_source_row(src.index(), res, stats);
-                }
-            }
-        });
-        out
-    }
-
-    /// Single-threaded reference implementation (also used below the
-    /// parallel threshold, where thread spawn overhead dominates). The
-    /// parallel and batched paths run the exact same per-source kernels, so
-    /// their output is bit-identical to this one.
-    pub fn compute_serial(stats: &SchemaStats, config: &PathConfig) -> Self {
-        let n = stats.len();
-        let mut out = Self::zeroed(n);
-        let mut explorer = Explorer::new(n);
-        for a in 0..n {
-            let res = explorer.explore(ElementId(a as u32), stats, config);
-            out.write_source_row(a, &res, stats);
-        }
-        out
-    }
-
-    /// Single-threaded batched pass: sources advance in consecutive chunks
-    /// of `batch` through [`Explorer::explore_batch`]. `batch ≤ 1` is
-    /// exactly [`compute_serial`](Self::compute_serial). Exposed for
-    /// benchmarks isolating the kernel speedup from thread scaling.
-    pub fn compute_serial_batched(stats: &SchemaStats, config: &PathConfig, batch: usize) -> Self {
-        if batch <= 1 {
-            return Self::compute_serial(stats, config);
-        }
-        let n = stats.len();
-        let mut out = Self::zeroed(n);
-        let mut explorer = Explorer::new(n);
-        let order = locality_order(stats);
-        for chunk in order.chunks(batch) {
-            let results = explorer.explore_batch(chunk, stats, config);
-            for (src, res) in chunk.iter().zip(&results) {
-                out.write_source_row(src.index(), res, stats);
-            }
-        }
+        let mut out = Self::zeroed(stats.len());
+        out.explore_rows(&locality_order(stats), stats, config, threads);
         out
     }
 
@@ -260,14 +151,69 @@ impl PairMatrices {
             affinity: vec![0.0; n * n],
             coverage: vec![0.0; n * n],
             truncated: false,
-            floored: false,
             expansions: 0,
-            per_source: Some(SourceMeta::zeroed(n)),
+            per_source: SourceMeta::zeroed(n),
         }
     }
 
-    /// The shared per-source kernel: fold one exploration result into row
-    /// `a` of both matrices and the run-wide flags.
+    /// The one row loop: explore `sources` in handouts of
+    /// [`DEFAULT_SOURCE_BATCH`] through [`Explorer::explore_batch`] and
+    /// write each result into its source's row. `threads ≤ 1` runs inline;
+    /// otherwise scoped workers steal handouts from a shared counter. Rows
+    /// are disjoint and the run-wide folds (`|=` flag, `u64` sum) are
+    /// order-independent, so neither the thread count nor the order of
+    /// `sources` changes any bit.
+    fn explore_rows(
+        &mut self,
+        sources: &[ElementId],
+        stats: &SchemaStats,
+        config: &PathConfig,
+        threads: usize,
+    ) {
+        let n = stats.len();
+        if threads <= 1 {
+            let mut explorer = Explorer::new(n);
+            for chunk in sources.chunks(DEFAULT_SOURCE_BATCH) {
+                let results = explorer.explore_batch(chunk, stats, config);
+                for (src, res) in chunk.iter().zip(&results) {
+                    self.write_source_row(src.index(), res, stats);
+                }
+            }
+            return;
+        }
+        let handouts = sources.len().div_ceil(DEFAULT_SOURCE_BATCH);
+        let next_handout = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel::<(usize, Vec<SourceResult>)>();
+        std::thread::scope(|scope| {
+            for _ in 0..threads.min(handouts) {
+                let tx = tx.clone();
+                let next_handout = &next_handout;
+                scope.spawn(move || {
+                    let mut explorer = Explorer::new(n);
+                    loop {
+                        let start = next_handout.fetch_add(DEFAULT_SOURCE_BATCH, Ordering::Relaxed);
+                        if start >= sources.len() {
+                            break;
+                        }
+                        let end = (start + DEFAULT_SOURCE_BATCH).min(sources.len());
+                        let results = explorer.explore_batch(&sources[start..end], stats, config);
+                        if tx.send((start, results)).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+            drop(tx);
+            while let Ok((start, results)) = rx.recv() {
+                for (src, res) in sources[start..].iter().zip(&results) {
+                    self.write_source_row(src.index(), res, stats);
+                }
+            }
+        });
+    }
+
+    /// Fold one exploration result into row `a` of both matrices, the
+    /// per-source metadata, and the run-wide flag and count.
     fn write_source_row(&mut self, a: usize, res: &SourceResult, stats: &SchemaStats) {
         let n = self.n;
         let row = a * n;
@@ -278,15 +224,12 @@ impl PairMatrices {
             self.coverage[row + b] = stats.card(ElementId(b as u32)) * res.best_cov_product[b];
         }
         self.truncated |= res.truncated;
-        self.floored |= res.floored;
         self.expansions += res.expansions;
-        if let Some(meta) = self.per_source.as_mut() {
-            meta.truncated[a] = res.truncated;
-            meta.floored[a] = res.floored;
-            meta.expansions[a] = res.expansions;
-            meta.visited[a] = res.reads.clone();
-            meta.cov_product[row..row + n].copy_from_slice(&res.best_cov_product);
-        }
+        let meta = &mut self.per_source;
+        meta.truncated[a] = res.truncated;
+        meta.expansions[a] = res.expansions;
+        meta.visited[a] = res.reads.clone();
+        meta.cov_product[row..row + n].copy_from_slice(&res.best_cov_product);
     }
 
     /// Derive the matrices of a *changed* statistics annotation by
@@ -318,9 +261,8 @@ impl PairMatrices {
     /// `Card · 0.0 = +0.0`.
     ///
     /// Returns `None` when the shapes disagree (including a *shrinking*
-    /// `stats`, or an appended row left unmarked) or `self` lacks
-    /// per-source metadata (matrices rehydrated from the legacy disk
-    /// format), in which case the caller must fall back to a cold compute.
+    /// `stats`, or an appended row left unmarked), in which case the
+    /// caller must fall back to a cold compute.
     pub fn splice(
         &self,
         stats: &SchemaStats,
@@ -335,12 +277,12 @@ impl PairMatrices {
         if recompute[n_old..].iter().any(|&redo| !redo) {
             return None;
         }
-        let per = self.per_source.as_ref()?;
+        let per = &self.per_source;
         let mut out = Self::zeroed(n);
-        // Carried-over rows first, then the re-explored rows in batches:
-        // rows are disjoint and the run-wide folds (`|=` flags, `u64` sum)
-        // are order-independent, so the two-pass order changes no bits.
-        // Only old rows (`a < n_old`) can be unmarked, checked above.
+        // Carried-over rows first, then the re-explored rows: rows are
+        // disjoint and the run-wide folds are order-independent, so the
+        // two-pass order changes no bits. Only old rows (`a < n_old`) can
+        // be unmarked, checked above.
         for (a, &redo) in recompute.iter().enumerate() {
             if !redo {
                 let src = a * n_old;
@@ -356,11 +298,9 @@ impl PairMatrices {
                     out.coverage[dst + b] = stats.card(ElementId(b as u32)) * product;
                 }
                 out.truncated |= per.truncated[a];
-                out.floored |= per.floored[a];
                 out.expansions += per.expansions[a];
-                let meta = out.per_source.as_mut().expect("zeroed carries metadata");
+                let meta = &mut out.per_source;
                 meta.truncated[a] = per.truncated[a];
-                meta.floored[a] = per.floored[a];
                 meta.expansions[a] = per.expansions[a];
                 // A carried-over row's trace is unchanged, so its read set
                 // and products are too.
@@ -383,52 +323,32 @@ impl PairMatrices {
             }
             redo_rows.sort_unstable_by_key(|e| rank[e.index()]);
         }
-        let mut explorer = Explorer::new(n);
-        for chunk in redo_rows.chunks(DEFAULT_SOURCE_BATCH) {
-            let results = explorer.explore_batch(chunk, stats, config);
-            for (src, res) in chunk.iter().zip(&results) {
-                out.write_source_row(src.index(), res, stats);
-            }
-        }
+        out.explore_rows(&redo_rows, stats, config, 1);
         Some(out)
-    }
-
-    /// Whether these matrices carry per-source metadata and can therefore
-    /// serve as the base of a [`splice`](Self::splice).
-    #[inline]
-    pub fn has_source_meta(&self) -> bool {
-        self.per_source.is_some()
     }
 
     /// The rows whose recorded read set intersects `touched` — exactly the
     /// sources whose exploration consulted a changed stats record and must
-    /// be re-explored; every other row is bitwise invariant. Returns `None`
-    /// when the metadata is absent (legacy decode) or the shape disagrees.
-    pub fn rows_reading(&self, touched: &[bool]) -> Option<Vec<bool>> {
-        let per = self.per_source.as_ref()?;
-        if touched.len() != self.n {
-            return None;
-        }
-        Some(
-            per.visited
-                .iter()
-                .map(|reads| {
-                    reads
-                        .iter()
-                        .any(|&u| touched.get(u as usize) == Some(&true))
-                })
-                .collect(),
-        )
+    /// be re-explored; every other row is bitwise invariant. Read ids
+    /// beyond `touched` count as untouched.
+    pub fn rows_reading(&self, touched: &[bool]) -> Vec<bool> {
+        self.per_source
+            .visited
+            .iter()
+            .map(|reads| {
+                reads
+                    .iter()
+                    .any(|&u| touched.get(u as usize) == Some(&true))
+            })
+            .collect()
     }
 
     /// Bitwise equality of entries, flags, and expansion counts — the
     /// equivalence the incremental-maintenance proptests assert between a
-    /// spliced refresh and a cold recompute. Per-source metadata presence
-    /// is intentionally ignored (legacy-decoded matrices lack it).
+    /// spliced refresh and a cold recompute.
     pub fn bitwise_eq(&self, other: &Self) -> bool {
         self.n == other.n
             && self.truncated == other.truncated
-            && self.floored == other.floored
             && self.expansions == other.expansions
             && self
                 .affinity
@@ -479,15 +399,8 @@ impl PairMatrices {
         self.truncated
     }
 
-    /// Whether any exploration cut branches at the
-    /// [`PathConfig::min_product`] floor (entries are then lower bounds).
-    #[inline]
-    pub fn floored(&self) -> bool {
-        self.floored
-    }
-
     /// Total edge expansions across all sources — the cold pass's unit of
-    /// work, comparable across configurations to measure pruning.
+    /// work.
     #[inline]
     pub fn expansions(&self) -> u64 {
         self.expansions
@@ -497,13 +410,18 @@ impl PairMatrices {
     /// every `f64` is stored as its IEEE-754 bit pattern, so
     /// [`from_bytes`](Self::from_bytes) rebuilds matrices indistinguishable
     /// from the originals. This is the persistence format of the serving
-    /// layer's disk tier.
+    /// layer's disk tier. Layout (little-endian): `n: u64`,
+    /// `truncated: u8`, `expansions: u64`, the affinity and coverage
+    /// matrices (`n²` `f64` each), then per source `truncated: u8`, per
+    /// source `expansions: u64`, per source a read set (`len: u32` then
+    /// `len` ids as `u32`), and the `n²` coverage path products.
     pub fn to_bytes(&self) -> Vec<u8> {
         let n = self.n;
-        let mut out = Vec::with_capacity(8 + 2 + 8 + 16 * n * n);
+        let meta = &self.per_source;
+        let reads: usize = meta.visited.iter().map(Vec::len).sum();
+        let mut out = Vec::with_capacity(min_encoded_len(n).unwrap_or(0) + 4 * reads);
         out.extend_from_slice(&(n as u64).to_le_bytes());
         out.push(u8::from(self.truncated));
-        out.push(u8::from(self.floored));
         out.extend_from_slice(&self.expansions.to_le_bytes());
         for &v in &self.affinity {
             out.extend_from_slice(&v.to_bits().to_le_bytes());
@@ -511,35 +429,28 @@ impl PairMatrices {
         for &v in &self.coverage {
             out.extend_from_slice(&v.to_bits().to_le_bytes());
         }
-        // Per-source metadata rides as a trailing section so pre-existing
-        // readers of the original layout still see a well-formed prefix and
-        // legacy files (no section) decode with `per_source: None`.
-        if let Some(meta) = &self.per_source {
-            for a in 0..n {
-                out.push(u8::from(meta.truncated[a]));
+        out.extend(meta.truncated.iter().map(|&t| u8::from(t)));
+        for &e in &meta.expansions {
+            out.extend_from_slice(&e.to_le_bytes());
+        }
+        for visited in &meta.visited {
+            out.extend_from_slice(&(visited.len() as u32).to_le_bytes());
+            for &u in visited {
+                out.extend_from_slice(&u.to_le_bytes());
             }
-            for a in 0..n {
-                out.push(u8::from(meta.floored[a]));
-            }
-            for a in 0..n {
-                out.extend_from_slice(&meta.expansions[a].to_le_bytes());
-            }
-            for a in 0..n {
-                out.extend_from_slice(&(meta.visited[a].len() as u32).to_le_bytes());
-                for &u in &meta.visited[a] {
-                    out.extend_from_slice(&u.to_le_bytes());
-                }
-            }
-            for &v in &meta.cov_product {
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
+        }
+        for &v in &meta.cov_product {
+            out.extend_from_slice(&v.to_bits().to_le_bytes());
         }
         out
     }
 
     /// Rebuild matrices from [`to_bytes`](Self::to_bytes) output. Returns
     /// `None` on any malformed input (short, long, or inconsistent) —
-    /// callers treat that as a cache miss and recompute.
+    /// callers treat that as a cache miss and recompute. Every accepted
+    /// input is canonical (`to_bytes` of the result reproduces it), and
+    /// the size the header claims is checked against the input length
+    /// before anything is allocated.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, len: usize| -> Option<&[u8]> {
@@ -548,84 +459,67 @@ impl PairMatrices {
             *pos = end;
             Some(slice)
         };
-        let n = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?) as usize;
-        // Reject sizes whose matrix byte count cannot even be addressed.
-        let cells = n.checked_mul(n)?;
-        let truncated = match take(&mut pos, 1)?[0] {
-            0 => false,
-            1 => true,
-            _ => return None,
+        let n = usize::try_from(u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?)).ok()?;
+        if bytes.len() < min_encoded_len(n)? {
+            return None;
+        }
+        let cells = n * n;
+        let read_flag = |pos: &mut usize| -> Option<bool> {
+            match take(pos, 1)?[0] {
+                0 => Some(false),
+                1 => Some(true),
+                _ => None,
+            }
         };
-        let floored = match take(&mut pos, 1)?[0] {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        let expansions = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?);
-        let read_matrix = |pos: &mut usize| -> Option<Vec<f64>> {
-            let raw = take(pos, cells.checked_mul(8)?)?;
+        let read_u64s = |pos: &mut usize, count: usize| -> Option<Vec<u64>> {
             Some(
-                raw.chunks_exact(8)
+                take(pos, count * 8)?
+                    .chunks_exact(8)
+                    .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+                    .collect(),
+            )
+        };
+        let read_f64s = |pos: &mut usize, count: usize| -> Option<Vec<f64>> {
+            Some(
+                take(pos, count * 8)?
+                    .chunks_exact(8)
                     .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
                     .collect(),
             )
         };
-        let affinity = read_matrix(&mut pos)?;
-        let coverage = read_matrix(&mut pos)?;
-        // Legacy files end here; current files carry the per-source section.
-        let per_source = if pos == bytes.len() {
-            None
-        } else {
-            let read_flags = |pos: &mut usize| -> Option<Vec<bool>> {
-                take(pos, n)?
-                    .iter()
-                    .map(|&b| match b {
-                        0 => Some(false),
-                        1 => Some(true),
-                        _ => None,
-                    })
-                    .collect()
-            };
-            let src_truncated = read_flags(&mut pos)?;
-            let src_floored = read_flags(&mut pos)?;
-            let src_expansions: Vec<u64> = take(&mut pos, n.checked_mul(8)?)?
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-                .collect();
-            let mut visited = Vec::with_capacity(n);
-            for _ in 0..n {
-                let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
-                if len > n {
-                    return None;
-                }
-                let reads: Vec<u32> = take(&mut pos, len.checked_mul(4)?)?
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-                    .collect();
-                // Read sets are sorted element ids within the matrix shape.
-                if reads.iter().any(|&u| u as usize >= n) || reads.windows(2).any(|w| w[0] >= w[1])
-                {
-                    return None;
-                }
-                visited.push(reads);
-            }
-            let cov_product = read_matrix(&mut pos)?;
-            // The section must be internally consistent with the aggregates.
-            if src_truncated.iter().any(|&t| t) != truncated
-                || src_floored.iter().any(|&f| f) != floored
-                || src_expansions.iter().sum::<u64>() != expansions
-            {
+        let truncated = read_flag(&mut pos)?;
+        let expansions = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?);
+        let affinity = read_f64s(&mut pos, cells)?;
+        let coverage = read_f64s(&mut pos, cells)?;
+        let src_truncated = (0..n)
+            .map(|_| read_flag(&mut pos))
+            .collect::<Option<Vec<bool>>>()?;
+        let src_expansions = read_u64s(&mut pos, n)?;
+        let mut visited = Vec::with_capacity(n);
+        for _ in 0..n {
+            let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
+            if len > n {
                 return None;
             }
-            Some(SourceMeta {
-                truncated: src_truncated,
-                floored: src_floored,
-                expansions: src_expansions,
-                visited,
-                cov_product,
-            })
-        };
-        if pos != bytes.len() {
+            let reads: Vec<u32> = take(&mut pos, len * 4)?
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+                .collect();
+            // Read sets are sorted element ids within the matrix shape.
+            if reads.iter().any(|&u| u as usize >= n) || reads.windows(2).any(|w| w[0] >= w[1]) {
+                return None;
+            }
+            visited.push(reads);
+        }
+        let cov_product = read_f64s(&mut pos, cells)?;
+        // The section must be internally consistent with the aggregates.
+        let expansion_sum = src_expansions
+            .iter()
+            .try_fold(0u64, |sum, &e| sum.checked_add(e))?;
+        if pos != bytes.len()
+            || src_truncated.iter().any(|&t| t) != truncated
+            || expansion_sum != expansions
+        {
             return None;
         }
         Some(PairMatrices {
@@ -633,11 +527,26 @@ impl PairMatrices {
             affinity,
             coverage,
             truncated,
-            floored,
             expansions,
-            per_source,
+            per_source: SourceMeta {
+                truncated: src_truncated,
+                expansions: src_expansions,
+                visited,
+                cov_product,
+            },
         })
     }
+}
+
+/// Bytes [`PairMatrices::to_bytes`] writes for `n` elements with every
+/// read set empty; `None` when that size overflows `usize`.
+fn min_encoded_len(n: usize) -> Option<usize> {
+    // Header (17), three f64 matrices, per source a flag, an expansion
+    // count, and a read-set length.
+    n.checked_mul(n)?
+        .checked_mul(24)?
+        .checked_add(n.checked_mul(1 + 8 + 4)?)?
+        .checked_add(17)
 }
 
 #[cfg(test)]
@@ -724,14 +633,11 @@ mod tests {
     #[test]
     fn forced_parallel_matches_serial_bitwise() {
         let (g, s) = chain_stats();
-        // parallel_threshold 0 forces the work-stealing path even for this
-        // tiny schema; 4 workers on any machine.
-        let cfg = PathConfig {
-            parallel_threshold: 0,
-            ..Default::default()
-        };
+        // An explicit thread count runs the work-stealing path even for
+        // this tiny schema, on any machine.
+        let cfg = PathConfig::default();
         let par = PairMatrices::compute_with_threads(&s, &cfg, 4);
-        let ser = PairMatrices::compute_serial(&s, &cfg);
+        let ser = PairMatrices::compute_with_threads(&s, &cfg, 1);
         for a in g.element_ids() {
             for b in g.element_ids() {
                 assert_eq!(par.affinity(a, b).to_bits(), ser.affinity(a, b).to_bits());
@@ -739,37 +645,35 @@ mod tests {
             }
         }
         assert_eq!(par.truncated(), ser.truncated());
-        assert_eq!(par.floored(), ser.floored());
         assert_eq!(par.expansions(), ser.expansions());
+        assert!(PairMatrices::compute(&s, &cfg).bitwise_eq(&ser));
     }
 
     #[test]
-    fn batched_drivers_match_serial_bitwise() {
-        let (_, s) = chain_stats();
-        let cfg = PathConfig {
-            kernel: PathKernel::Layered,
-            parallel_threshold: 0,
-            ..Default::default()
-        };
-        let reference = PairMatrices::compute_serial(&s, &cfg);
-        for batch in [1usize, 2, 3, DEFAULT_SOURCE_BATCH, 100] {
-            let serial = PairMatrices::compute_serial_batched(&s, &cfg, batch);
-            assert!(serial.bitwise_eq(&reference), "serial batch={batch}");
-            let parallel = PairMatrices::compute_with_threads_batched(&s, &cfg, 4, batch);
-            assert!(parallel.bitwise_eq(&reference), "parallel batch={batch}");
+    fn compute_matches_single_source_explorations() {
+        let (g, s) = chain_stats();
+        let cfg = PathConfig::default();
+        let m = PairMatrices::compute_with_threads(&s, &cfg, 1);
+        let mut explorer = Explorer::new(s.len());
+        let mut expansions = 0;
+        for a in g.element_ids() {
+            let res = explorer.explore(a, &s, &cfg);
+            expansions += res.expansions;
+            for b in g.element_ids() {
+                let i = b.index();
+                assert_eq!(m.affinity(a, b).to_bits(), res.best_affinity[i].to_bits());
+                let cov = s.card(b) * res.best_cov_product[i];
+                assert_eq!(m.coverage(a, b).to_bits(), cov.to_bits());
+            }
         }
-        // The default entry point routes layered configs through the batched
-        // driver; it too must be indistinguishable.
-        let default_path = PairMatrices::compute_with_threads(&s, &cfg, 4);
-        assert!(default_path.bitwise_eq(&reference));
+        assert_eq!(m.expansions(), expansions);
     }
 
     #[test]
     fn expansions_are_reported() {
         let (_, s) = chain_stats();
-        let m = PairMatrices::compute_serial(&s, &PathConfig::default());
+        let m = PairMatrices::compute(&s, &PathConfig::default());
         assert!(m.expansions() > 0);
-        assert!(!m.floored());
     }
 
     #[test]
@@ -785,8 +689,8 @@ mod tests {
             }
         }
         assert_eq!(m.truncated(), back.truncated());
-        assert_eq!(m.floored(), back.floored());
         assert_eq!(m.expansions(), back.expansions());
+        assert_eq!(back.to_bytes(), bytes);
     }
 
     #[test]
@@ -799,6 +703,9 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(PairMatrices::from_bytes(&long).is_none());
+        // The matrices alone, without the per-source section.
+        let prefix_only = 17 + 16 * m.len() * m.len();
+        assert!(PairMatrices::from_bytes(&bytes[..prefix_only]).is_none());
         let mut bad_flag = bytes;
         bad_flag[8] = 7; // truncated flag must be 0 or 1
         assert!(PairMatrices::from_bytes(&bad_flag).is_none());

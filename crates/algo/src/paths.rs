@@ -1,36 +1,34 @@
-//! Simple-path enumeration underlying affinity and coverage.
+//! Path maxima underlying affinity and coverage.
 //!
 //! Formulas 2 and 3 maximize per-path products over "all possible paths"
-//! between two elements. We enumerate **simple paths** (no repeated
+//! between two elements. We read that as **simple paths** (no repeated
 //! elements): walks that revisit elements could pump the products without
 //! bound whenever an edge has `RC < 1` (optional children), so simple paths
-//! are the only sound reading (see DESIGN.md §3.2). Schema graphs are trees
-//! plus a handful of value links, so bounded-depth enumeration is cheap —
-//! but "cheap" stops scaling once value links multiply the path count, so
-//! the kernel here is built for the cold-path budget of the serving layer:
+//! are the only sound reading (see DESIGN.md §3.2).
 //!
-//! * the exploration walks the CSR edge records of
-//!   [`SchemaStats::edges`](schema_summary_core::SchemaStats::edges), whose
-//!   precomputed `rc_factor`/`w_back` remove every per-expansion adjacency
-//!   scan;
-//! * the depth-first search is an explicit-stack iteration over a reusable
-//!   [`Explorer`] scratch, so per-source work allocates nothing beyond the
-//!   result rows;
-//! * **branch-and-bound pruning** (see DESIGN.md §3.14): every per-edge
-//!   factor is clamped to `[0, 1]`, so both path products are monotone
-//!   non-increasing in path length. A branch whose best continuation can no
-//!   longer strictly beat *any* recorded per-target maximum is cut, and the
-//!   cut is exact — the surviving paths include every argmax path.
-//!
-//! One depth-first exploration per source element simultaneously maintains:
+//! Every per-edge factor is clamped to `[0, 1]` (DESIGN.md §3.9), and that
+//! makes enumeration unnecessary: removing a cycle from a walk divides its
+//! product by factors ≤ 1 (the product can only grow) and shortens it (the
+//! affinity denominator can only shrink), so the best walk to each target
+//! is attained on a simple path. The kernel here is therefore a layered
+//! relaxation over walks — Bellman–Ford on the `(max, ×)` semiring,
+//! `O(max_edges · |edges|)` per source — that reproduces the simple-path
+//! maxima bit for bit (DESIGN.md §3.14; `path_kernel_matches_dfs_oracle`
+//! checks it against brute-force enumeration). It walks the struct-of-arrays
+//! CSR lanes of [`SchemaStats`], and one relaxation per layer yields, for
+//! every target:
 //!
 //! * the **affinity product** `Π 1/RC(e_{j-1} → e_j)` (Formula 2), and
 //! * the **coverage product**
-//!   `Π A(e_{j-1} → e_j) · W(e_j → e_{j-1})` (Formula 3),
+//!   `Π A(e_{j-1} → e_j) · W(e_j → e_{j-1})` (Formula 3).
 //!
-//! recording per-target maxima of both. Note the two maxima may be achieved
-//! on *different* paths, which is why both products are tracked rather than
-//! derived from one another.
+//! The two maxima may be achieved on *different* paths, which is why both
+//! products are relaxed rather than derived from one another.
+//!
+//! [`Explorer::explore_batch`] advances up to [`MAX_BATCH_LANES`] sources
+//! per frontier sweep and is what [`PairMatrices`](crate::PairMatrices)
+//! runs; [`Explorer::explore`] is the single-source form it falls back to
+//! for the one order-dependent case, a budget exhausted mid-layer.
 
 use schema_summary_core::{ElementId, SchemaStats};
 use serde::{Deserialize, Serialize};
@@ -50,59 +48,12 @@ pub enum PathLength {
     Nodes,
 }
 
-/// Which exact kernel evaluates the per-target path maxima.
-///
-/// Both kernels compute the same quantities; they differ in how they search.
-/// The clamp on per-edge factors (everything ∈ [0, 1]) makes the two
-/// provably equivalent: removing a cycle from a walk divides the product by
-/// factors ≤ 1 (so the product can only grow) and shortens the path (so the
-/// affinity denominator can only shrink) — hence the max over arbitrary
-/// walks equals the max over simple paths, and a layered relaxation over
-/// walks is exact for the simple-path formulas (DESIGN.md §3.14).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum PathKernel {
-    /// Pick per schema by a node-count/density heuristic (see
-    /// [`PathConfig::effective_kernel`]): DFS on small, sparse,
-    /// tree-like schemas where path multiplicity is low (BENCH_matrices.json
-    /// measured layered at 0.45× DFS on the n=100 sparse synthetic),
-    /// layered everywhere else. Both kernels are exact, so the choice only
-    /// affects wall time. The default.
-    #[default]
-    Auto,
-    /// Layered max-product relaxation (Bellman–Ford over the `(max, ×)`
-    /// semiring): `O(max_edges · |edges|)` per source, independent of the
-    /// number of simple paths — orders of magnitude faster on densely
-    /// value-linked schemas.
-    Layered,
-    /// Explicit-stack depth-first enumeration of simple paths with exact
-    /// branch-and-bound pruning. The reference kernel; also the only one
-    /// honoring the [`PathConfig::min_product`] floor's joint
-    /// affinity/coverage semantics.
-    Dfs,
-}
-
-/// [`PathKernel::Auto`] picks the layered kernel at or beyond this element
-/// count regardless of density: DFS worst-case cost grows with the number
-/// of simple paths while the layered relaxation stays
-/// `O(max_edges · |edges|)`. Retuned for the batched lane kernel
-/// (min-of-reps, near-tree density 0.05): DFS still wins at n=25
-/// (0.75×) but batched layered leads from n=50 (1.3×) through n=100
-/// (1.6×), n=192 (2.6×), and ~13× on XMark SF 1.0 (n=295). 48 splits
-/// the crossover (BENCH_matrices.json).
-const AUTO_NODE_THRESHOLD: usize = 48;
-
-/// Below [`AUTO_NODE_THRESHOLD`], [`PathKernel::Auto`] picks DFS only for
-/// near-tree densities. A pure tree has average CSR degree ≈ 2 (each edge
-/// appears in both endpoints' rows); every value link adds 2/n more. At
-/// 2.5 the graph carries ~n/4 extra links and path multiplicity starts to
-/// favor the layered kernel even on a few dozen elements.
-const AUTO_AVG_DEGREE_THRESHOLD: f64 = 2.5;
-
-/// Configuration for path enumeration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Configuration for path exploration. Configurations key memoized
+/// artifacts and cached results, so every field is exact (no floats).
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PathConfig {
-    /// Maximum number of edges on an enumerated path. Longer paths carry a
-    /// `1/n` penalty and per-edge products ≤ 1 in the common case, so they
+    /// Maximum number of edges on a path. Longer paths carry a `1/n`
+    /// penalty and per-edge products ≤ 1 in the common case, so they
     /// contribute negligibly; 10 comfortably exceeds the diameter of the
     /// paper's schemas.
     pub max_edges: usize,
@@ -112,26 +63,6 @@ pub struct PathConfig {
     pub max_expansions: usize,
     /// Path-length convention for the affinity denominator.
     pub path_length: PathLength,
-    /// Which exact kernel to run (see [`PathKernel`]). A positive
-    /// [`min_product`](Self::min_product) always selects the DFS kernel,
-    /// whose floor cuts a branch only when *both* products fall below the
-    /// floor — the layered kernel relaxes affinity and coverage
-    /// independently and cannot express that joint condition.
-    pub kernel: PathKernel,
-    /// Branch-and-bound pruning of branches that can no longer improve any
-    /// per-target maximum. The cut is **exact** — per-edge factors are
-    /// clamped ≤ 1, so products only shrink along a path (DESIGN.md §3.14).
-    /// Disable only to measure pruning effectiveness or cross-check results.
-    pub prune: bool,
-    /// Approximate-mode floor: branches whose affinity *and* coverage
-    /// products both fall below this value are cut and the result is
-    /// flagged [`SourceResult::floored`] (maxima become lower bounds, like
-    /// `truncated`). `0.0` (the default) keeps exploration exact.
-    pub min_product: f64,
-    /// Minimum element count before [`crate::PairMatrices::compute`]
-    /// parallelizes across source elements; below it, thread spawn overhead
-    /// dominates and the serial kernel runs instead.
-    pub parallel_threshold: usize,
 }
 
 impl Default for PathConfig {
@@ -140,79 +71,11 @@ impl Default for PathConfig {
             max_edges: 10,
             max_expansions: 4_000_000,
             path_length: PathLength::Edges,
-            kernel: PathKernel::Auto,
-            prune: true,
-            min_product: 0.0,
-            parallel_threshold: 64,
         }
-    }
-}
-
-// Configurations key memoized artifacts and cached results, so equality and
-// hashing must be total and bit-stable; `min_product` is compared by bit
-// pattern (as in `ImportanceConfig`).
-impl PartialEq for PathConfig {
-    fn eq(&self, other: &Self) -> bool {
-        self.max_edges == other.max_edges
-            && self.max_expansions == other.max_expansions
-            && self.path_length == other.path_length
-            && self.kernel == other.kernel
-            && self.prune == other.prune
-            && self.min_product.to_bits() == other.min_product.to_bits()
-            && self.parallel_threshold == other.parallel_threshold
-    }
-}
-
-impl Eq for PathConfig {}
-
-impl std::hash::Hash for PathConfig {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.max_edges.hash(state);
-        self.max_expansions.hash(state);
-        self.path_length.hash(state);
-        self.kernel.hash(state);
-        self.prune.hash(state);
-        self.min_product.to_bits().hash(state);
-        self.parallel_threshold.hash(state);
     }
 }
 
 impl PathConfig {
-    /// The kernel that will actually run for `stats` under this
-    /// configuration — never [`PathKernel::Auto`].
-    ///
-    /// A positive [`min_product`](Self::min_product) always resolves to
-    /// DFS (only DFS expresses the joint affinity/coverage floor).
-    /// Otherwise `Auto` resolves by node count and density: layered at or
-    /// beyond [`AUTO_NODE_THRESHOLD`] elements or
-    /// [`AUTO_AVG_DEGREE_THRESHOLD`] average CSR degree, DFS on the small
-    /// sparse remainder where enumeration is cheaper than `max_edges` full
-    /// relaxation sweeps (BENCH_matrices.json). Both kernels are exact, so
-    /// resolution never changes results — only wall time.
-    pub fn effective_kernel(&self, stats: &SchemaStats) -> PathKernel {
-        if self.min_product > 0.0 {
-            return PathKernel::Dfs;
-        }
-        match self.kernel {
-            PathKernel::Auto => {
-                let n = stats.len();
-                if n >= AUTO_NODE_THRESHOLD {
-                    return PathKernel::Layered;
-                }
-                if n == 0 {
-                    return PathKernel::Layered;
-                }
-                let edge_records: usize = (0..n).map(|u| stats.degree(ElementId(u as u32))).sum();
-                if edge_records as f64 / n as f64 >= AUTO_AVG_DEGREE_THRESHOLD {
-                    PathKernel::Layered
-                } else {
-                    PathKernel::Dfs
-                }
-            }
-            kernel => kernel,
-        }
-    }
-
     /// The `1/RC` factor of one edge, clamped at 1.
     ///
     /// Formula 2 divides by the relative cardinality along each step, which
@@ -272,11 +135,7 @@ pub struct SourceResult {
     /// Whether the expansion budget was exhausted (maxima become lower
     /// bounds).
     pub truncated: bool,
-    /// Whether the [`PathConfig::min_product`] floor cut any branch
-    /// (approximate mode; maxima become lower bounds).
-    pub floored: bool,
-    /// Edge traversals actually performed for this source. With pruning on,
-    /// the gap to the unpruned count measures pruning effectiveness.
+    /// Edge traversals actually performed for this source.
     pub expansions: u64,
     /// Sorted ids of every element this exploration *read*: elements whose
     /// edge records the kernel scanned (or may scan next layer), plus every
@@ -351,19 +210,6 @@ impl BatchScratch {
     }
 }
 
-/// One explicit-stack DFS frame: a node on the current path plus the
-/// position of the next CSR edge to expand.
-#[derive(Debug, Clone, Copy)]
-struct Frame {
-    node: u32,
-    /// Index of the next edge within `stats.edges(node)`.
-    cursor: u32,
-    /// Affinity product of the path from the source to `node`.
-    aff: f64,
-    /// Coverage product of the path from the source to `node`.
-    cov: f64,
-}
-
 /// Reusable per-thread scratch for path exploration.
 ///
 /// One `Explorer` serves any number of sources over schemas of up to the
@@ -372,17 +218,11 @@ struct Frame {
 /// per-source allocation beyond its output rows.
 #[derive(Debug)]
 pub struct Explorer {
-    visited: Vec<bool>,
-    frames: Vec<Frame>,
-    /// Scratch for the per-source reachability pass that seeds the pruning
-    /// thresholds: membership flags plus the component's node list.
-    in_component: Vec<bool>,
-    component: Vec<u32>,
-    /// Layered-kernel scratch: per-node max walk products at the current
-    /// and next edge count (affinity and coverage relax independently — the
-    /// two maxima may be achieved on different paths). The value arrays are
-    /// kept all-zero between sources; only entries listed in the frontier
-    /// are live, so sparse layers cost O(frontier), not O(n).
+    /// Per-node max walk products at the current and next edge count
+    /// (affinity and coverage relax independently — the two maxima may be
+    /// achieved on different paths). The value arrays are kept all-zero
+    /// between sources; only entries listed in the frontier are live, so
+    /// sparse layers cost O(frontier), not O(n).
     cur_aff: Vec<f64>,
     cur_cov: Vec<f64>,
     next_aff: Vec<f64>,
@@ -390,10 +230,6 @@ pub struct Explorer {
     frontier: Vec<u32>,
     next_frontier: Vec<u32>,
     in_next: Vec<bool>,
-    /// Per-depth pre-multiplied affinity cut thresholds,
-    /// `aff_cut[d] = prune_aff · denom(d + 1)`, so the hot prune filter is
-    /// a compare instead of a division.
-    aff_cut: Vec<f64>,
     /// Dedup flags for the per-source read set ([`SourceResult::reads`]);
     /// restored to all-false between sources.
     read_flag: Vec<bool>,
@@ -406,10 +242,6 @@ impl Explorer {
     /// Scratch sized for schemas of `n` elements.
     pub fn new(n: usize) -> Self {
         Explorer {
-            visited: vec![false; n],
-            frames: Vec::with_capacity(64),
-            in_component: vec![false; n],
-            component: Vec::with_capacity(n),
             cur_aff: vec![0.0; n],
             cur_cov: vec![0.0; n],
             next_aff: vec![0.0; n],
@@ -417,7 +249,6 @@ impl Explorer {
             frontier: Vec::with_capacity(n),
             next_frontier: Vec::with_capacity(n),
             in_next: vec![false; n],
-            aff_cut: Vec::new(),
             read_flag: vec![false; n],
             batch: None,
         }
@@ -448,11 +279,22 @@ impl Explorer {
     }
 
     /// Compute, for every target, the maxima of the affinity and coverage
-    /// path products from `source`, using the configured kernel.
+    /// path products from `source`: the single-source layered kernel.
+    ///
+    /// `cur_*[v]` holds the maximum product over *walks* of exactly
+    /// `edges_used - 1` edges from the source to `v`; each layer relaxes
+    /// every traversable edge of the frontier once and folds the new
+    /// layer's values into the per-target maxima, which are the
+    /// simple-path maxima of Formulas 2 and 3 (see the module docs).
     ///
     /// Edges with `RC(u → v) = 0` (no data instances on the `u` side) are
     /// not traversable: affinity through them is undefined (the formula
     /// divides by RC) and semantically there is no data connectivity.
+    ///
+    /// The budget is charged one edge at a time, so an exhausted budget
+    /// stops part way through a layer, at a point that depends on frontier
+    /// order. The partial layer is still folded in and the result is
+    /// flagged truncated: its maxima are then lower bounds.
     pub fn explore(
         &mut self,
         source: ElementId,
@@ -461,163 +303,118 @@ impl Explorer {
     ) -> SourceResult {
         let n = stats.len();
         assert!(
-            self.visited.len() >= n,
+            self.read_flag.len() >= n,
             "explorer sized for {} elements, got {}",
-            self.visited.len(),
+            self.read_flag.len(),
             n
         );
         let mut result = SourceResult {
             best_affinity: vec![0.0; n],
             best_cov_product: vec![0.0; n],
             truncated: false,
-            floored: false,
             expansions: 0,
             reads: Vec::new(),
         };
         result.best_affinity[source.index()] = 1.0;
         result.best_cov_product[source.index()] = 1.0;
-        if config.max_edges == 0 || n == 0 {
+        if config.max_edges == 0 {
             self.finish_reads(n, &mut result);
             return result;
         }
-        if config.effective_kernel(stats) == PathKernel::Layered {
-            self.relax_layered(source, stats, config, &mut result);
-            self.finish_reads(n, &mut result);
-            return result;
-        }
-
-        self.visited[..n].fill(false);
-        self.frames.clear();
-        if config.prune {
-            self.collect_component(source, stats, n, config.max_edges, &mut result);
-        }
-
-        // Pruning thresholds: stale lower bounds on the minimum recorded
-        // per-target maxima over the source's component. Stale is safe —
-        // recorded maxima only grow, so the cached minimum only
-        // underestimates and pruning stays exact; it is refreshed every
-        // ~|component| expansions (amortized O(1) per expansion).
-        let mut prune_aff = 0.0f64;
-        let mut prune_cov = 0.0f64;
-        let refresh_interval = (self.component.len() as u64).max(64);
-        let mut refresh_countdown = refresh_interval;
-        self.aff_cut.clear();
-        self.aff_cut.resize(config.max_edges + 1, 0.0);
 
         let aff_scale = config.affinity_scale();
-        let mut budget = config.max_expansions;
-        self.visited[source.index()] = true;
-        // Every node whose frame is pushed has its edge list scanned.
-        Self::record_read(&mut self.read_flag, &mut result.reads, source.0);
-        self.frames.push(Frame {
-            node: source.0,
-            cursor: 0,
-            aff: 1.0,
-            cov: 1.0,
-        });
-
         let neighbors = stats.neighbor_lane();
         let rcs = stats.rc_lane();
         let rc_factors = stats.rc_factor_lane();
         let w_backs = stats.w_back_lane();
-        'explore: while let Some(frame) = self.frames.last_mut() {
-            let node = frame.node;
-            let row = stats.edge_range(ElementId(node));
-            let idx = row.start + frame.cursor as usize;
-            if idx >= row.end {
-                // All edges of this node expanded: backtrack.
-                self.visited[node as usize] = false;
-                self.frames.pop();
-                continue;
-            }
-            frame.cursor += 1;
-            let nb = neighbors[idx];
-            if self.visited[nb.index()] || rcs[idx] <= 0.0 {
-                continue;
-            }
-            if budget == 0 {
-                result.truncated = true;
-                break 'explore;
-            }
-            budget -= 1;
-            result.expansions += 1;
-
-            let new_aff = frame.aff * rc_factors[idx];
-            // Coverage factor: edge affinity forward × neighbor weight
-            // backward, both precomputed on the CSR factor lanes.
-            let new_cov = frame.cov * (aff_scale * rc_factors[idx]) * w_backs[idx];
-            // The source frame is depth 1, so the path to `nb` has exactly
-            // `frames.len()` edges.
-            let new_edges = self.frames.len();
-
-            let aff_here = new_aff / config.length_denominator(new_edges);
-            let i = nb.index();
-            if aff_here > result.best_affinity[i] {
-                result.best_affinity[i] = aff_here;
-            }
-            if new_cov > result.best_cov_product[i] {
-                result.best_cov_product[i] = new_cov;
-            }
-
-            // Descend unless the branch is dead (extending through a zero
-            // coverage product can still improve affinity, so either live
-            // product keeps it alive) or already at the depth limit; the
-            // floor and pruning checks run only on descent-eligible
-            // expansions — at the deepest level there is nothing to cut.
-            if (new_aff > 0.0 || new_cov > 0.0) && new_edges < config.max_edges {
-                // Approximate-mode floor: cut the branch once both
-                // products sink below it.
-                if config.min_product > 0.0
-                    && new_aff < config.min_product
-                    && new_cov < config.min_product
-                {
-                    result.floored = true;
-                    continue;
-                }
-                // Branch-and-bound: every deeper target sees products ≤
-                // the current ones and an affinity denominator ≥ the next
-                // depth's, so if neither bound strictly beats the smallest
-                // recorded maximum, no descendant of this branch can beat
-                // *any* recorded maximum (factors are clamped ≤ 1; the cut
-                // is exact).
-                if config.prune {
-                    if refresh_countdown == 0 {
-                        prune_aff = Self::min_over(&self.component, &result.best_affinity);
-                        prune_cov = Self::min_over(&self.component, &result.best_cov_product);
-                        for (d, slot) in self.aff_cut.iter_mut().enumerate() {
-                            *slot = prune_aff * config.length_denominator(d + 1);
-                        }
-                        refresh_countdown = refresh_interval;
-                    } else {
-                        refresh_countdown -= 1;
-                    }
-                    // Two-stage cut: the pre-multiplied per-depth threshold
-                    // is a cheap compare (a rounded-down table entry only
-                    // *misses* cuts, never adds them); the division — the
-                    // exact arbiter — runs only on the rare candidates that
-                    // pass the filter.
-                    if new_cov <= prune_cov
-                        && new_aff <= self.aff_cut[new_edges]
-                        && new_aff / config.length_denominator(new_edges + 1) <= prune_aff
-                    {
+        let mut budget = config.max_expansions;
+        // Invariant: the value arrays are all-zero on entry (enforced by
+        // zeroing exactly the frontier entries before returning), so a
+        // sparse layer touches O(frontier · degree) entries, not O(n).
+        self.frontier.clear();
+        self.frontier.push(source.0);
+        // Frontier members have their edge lists scanned (the final
+        // frontier's scan is cut by the depth limit; including it is a
+        // harmless over-approximation of the read set).
+        Self::record_read(&mut self.read_flag, &mut result.reads, source.0);
+        self.cur_aff[source.index()] = 1.0;
+        self.cur_cov[source.index()] = 1.0;
+        for edges_used in 1..=config.max_edges {
+            self.next_frontier.clear();
+            let mut exhausted = false;
+            'relax: for &u in &self.frontier {
+                let a = self.cur_aff[u as usize];
+                let c = self.cur_cov[u as usize];
+                for idx in stats.edge_range(ElementId(u)) {
+                    if rcs[idx] <= 0.0 {
                         continue;
                     }
+                    if budget == 0 {
+                        exhausted = true;
+                        break 'relax;
+                    }
+                    budget -= 1;
+                    result.expansions += 1;
+                    let i = neighbors[idx].index();
+                    let na = a * rc_factors[idx];
+                    let nc = c * (aff_scale * rc_factors[idx]) * w_backs[idx];
+                    if self.in_next[i] {
+                        if na > self.next_aff[i] {
+                            self.next_aff[i] = na;
+                        }
+                        if nc > self.next_cov[i] {
+                            self.next_cov[i] = nc;
+                        }
+                    } else {
+                        self.in_next[i] = true;
+                        Self::record_read(&mut self.read_flag, &mut result.reads, neighbors[idx].0);
+                        self.next_frontier.push(neighbors[idx].0);
+                        self.next_aff[i] = na;
+                        self.next_cov[i] = nc;
+                    }
                 }
-                self.visited[i] = true;
-                Self::record_read(&mut self.read_flag, &mut result.reads, nb.0);
-                self.frames.push(Frame {
-                    node: nb.0,
-                    cursor: 0,
-                    aff: new_aff,
-                    cov: new_cov,
-                });
+            }
+            // Fold this layer (possibly partial, if the budget ran out) into
+            // the per-target maxima; partial layers are lower bounds, which
+            // is exactly what `truncated` signals.
+            let denom = config.length_denominator(edges_used);
+            for &v in &self.next_frontier {
+                let v = v as usize;
+                self.in_next[v] = false;
+                let a = self.next_aff[v];
+                if a > 0.0 {
+                    let val = a / denom;
+                    if val > result.best_affinity[v] {
+                        result.best_affinity[v] = val;
+                    }
+                }
+                let cv = self.next_cov[v];
+                if cv > 0.0 && cv > result.best_cov_product[v] {
+                    result.best_cov_product[v] = cv;
+                }
+            }
+            // Re-zero the consumed layer, then promote the next one.
+            for &u in &self.frontier {
+                self.cur_aff[u as usize] = 0.0;
+                self.cur_cov[u as usize] = 0.0;
+            }
+            std::mem::swap(&mut self.cur_aff, &mut self.next_aff);
+            std::mem::swap(&mut self.cur_cov, &mut self.next_cov);
+            std::mem::swap(&mut self.frontier, &mut self.next_frontier);
+            if exhausted {
+                result.truncated = true;
+                break;
+            }
+            if self.frontier.is_empty() {
+                break;
             }
         }
-        // Leave scratch clean for the next source whether we broke out of
-        // the loop (budget) or drained the stack.
-        for frame in self.frames.drain(..) {
-            self.visited[frame.node as usize] = false;
+        // Restore the all-zero invariant for the next source.
+        for &u in &self.frontier {
+            self.cur_aff[u as usize] = 0.0;
+            self.cur_cov[u as usize] = 0.0;
         }
+        self.frontier.clear();
         self.finish_reads(n, &mut result);
         result
     }
@@ -649,8 +446,6 @@ impl Explorer {
     ///   so a lane whose next layer would overrun its remaining budget is
     ///   evicted from the batch and re-run through the scalar kernel.
     ///
-    /// Configurations that resolve to the DFS kernel (including any
-    /// positive `min_product` floor) fall back to per-source exploration.
     /// Batches larger than [`MAX_BATCH_LANES`] are processed in chunks.
     pub fn explore_batch(
         &mut self,
@@ -659,7 +454,7 @@ impl Explorer {
         config: &PathConfig,
     ) -> Vec<SourceResult> {
         let mut out = Vec::with_capacity(sources.len());
-        if config.effective_kernel(stats) != PathKernel::Layered || config.max_edges == 0 {
+        if config.max_edges == 0 {
             out.extend(sources.iter().map(|&s| self.explore(s, stats, config)));
             return out;
         }
@@ -789,7 +584,7 @@ impl Explorer {
                     if dense {
                         let next_aff = &mut scratch.next_aff[bv..][..stride];
                         let next_cov = &mut scratch.next_cov[bv..][..stride];
-                        // Same multiply chains as the scalar kernels; the
+                        // Same multiply chains as the single-source kernel; the
                         // branchless select is bitwise the scalar compare-
                         // and-store (ties keep the stored value; no value is
                         // NaN or −0.0).
@@ -897,7 +692,6 @@ impl Explorer {
                 best_affinity: vec![0.0; n],
                 best_cov_product: vec![0.0; n],
                 truncated: false,
-                floored: false,
                 expansions: expansions[l],
                 reads: Vec::new(),
             };
@@ -952,173 +746,6 @@ impl Explorer {
             }
         }
     }
-
-    /// The layered kernel: Bellman–Ford over the `(max, ×)` semiring.
-    ///
-    /// `cur_*[v]` holds the maximum product over *walks* of exactly
-    /// `edges_used - 1` edges from the source to `v`; each layer relaxes
-    /// every traversable edge once. Because all per-edge factors are clamped
-    /// to `[0, 1]`, the walk maxima equal the simple-path maxima of
-    /// Formulas 2 and 3 (cycle removal never decreases a product nor
-    /// lengthens a path — DESIGN.md §3.14), so recording each layer's
-    /// values yields exactly the DFS kernel's results in
-    /// `O(max_edges · |edges|)` instead of enumerating paths.
-    fn relax_layered(
-        &mut self,
-        source: ElementId,
-        stats: &SchemaStats,
-        config: &PathConfig,
-        result: &mut SourceResult,
-    ) {
-        let aff_scale = config.affinity_scale();
-        let mut budget = config.max_expansions;
-        // Invariant: the value arrays are all-zero on entry (enforced by
-        // zeroing exactly the frontier entries before returning), so a
-        // sparse layer touches O(frontier · degree) entries, not O(n).
-        self.frontier.clear();
-        self.frontier.push(source.0);
-        // Frontier members have their edge lists scanned (the final
-        // frontier's scan is cut by the depth limit; including it is a
-        // harmless over-approximation of the read set).
-        Self::record_read(&mut self.read_flag, &mut result.reads, source.0);
-        self.cur_aff[source.index()] = 1.0;
-        self.cur_cov[source.index()] = 1.0;
-        for edges_used in 1..=config.max_edges {
-            self.next_frontier.clear();
-            let mut exhausted = false;
-            let neighbors = stats.neighbor_lane();
-            let rcs = stats.rc_lane();
-            let rc_factors = stats.rc_factor_lane();
-            let w_backs = stats.w_back_lane();
-            'relax: for &u in &self.frontier {
-                let a = self.cur_aff[u as usize];
-                let c = self.cur_cov[u as usize];
-                for idx in stats.edge_range(ElementId(u)) {
-                    if rcs[idx] <= 0.0 {
-                        continue;
-                    }
-                    if budget == 0 {
-                        exhausted = true;
-                        break 'relax;
-                    }
-                    budget -= 1;
-                    result.expansions += 1;
-                    let i = neighbors[idx].index();
-                    // Same multiply chains as the DFS kernel, so a walk's
-                    // value is bit-identical to the corresponding path's.
-                    let na = a * rc_factors[idx];
-                    let nc = c * (aff_scale * rc_factors[idx]) * w_backs[idx];
-                    if self.in_next[i] {
-                        if na > self.next_aff[i] {
-                            self.next_aff[i] = na;
-                        }
-                        if nc > self.next_cov[i] {
-                            self.next_cov[i] = nc;
-                        }
-                    } else {
-                        self.in_next[i] = true;
-                        Self::record_read(&mut self.read_flag, &mut result.reads, neighbors[idx].0);
-                        self.next_frontier.push(neighbors[idx].0);
-                        self.next_aff[i] = na;
-                        self.next_cov[i] = nc;
-                    }
-                }
-            }
-            // Fold this layer (possibly partial, if the budget ran out) into
-            // the per-target maxima; partial layers are lower bounds, which
-            // is exactly what `truncated` signals.
-            let denom = config.length_denominator(edges_used);
-            for &v in &self.next_frontier {
-                let v = v as usize;
-                self.in_next[v] = false;
-                let a = self.next_aff[v];
-                if a > 0.0 {
-                    let val = a / denom;
-                    if val > result.best_affinity[v] {
-                        result.best_affinity[v] = val;
-                    }
-                }
-                let cv = self.next_cov[v];
-                if cv > 0.0 && cv > result.best_cov_product[v] {
-                    result.best_cov_product[v] = cv;
-                }
-            }
-            // Re-zero the consumed layer, then promote the next one.
-            for &u in &self.frontier {
-                self.cur_aff[u as usize] = 0.0;
-                self.cur_cov[u as usize] = 0.0;
-            }
-            std::mem::swap(&mut self.cur_aff, &mut self.next_aff);
-            std::mem::swap(&mut self.cur_cov, &mut self.next_cov);
-            std::mem::swap(&mut self.frontier, &mut self.next_frontier);
-            if exhausted {
-                result.truncated = true;
-                break;
-            }
-            if self.frontier.is_empty() {
-                break;
-            }
-        }
-        // Restore the all-zero invariant for the next source.
-        for &u in &self.frontier {
-            self.cur_aff[u as usize] = 0.0;
-            self.cur_cov[u as usize] = 0.0;
-        }
-        self.frontier.clear();
-    }
-
-    /// Nodes reachable from `source` within `max_edges` hops over
-    /// traversable (`rc > 0`) edges — the only targets whose maxima this
-    /// source can ever improve, and therefore the set the pruning
-    /// thresholds are minimized over. Nodes outside it (unreachable, or
-    /// whose shortest distance exceeds the depth limit) stay 0 forever and
-    /// would pin the minimum there, disabling pruning entirely.
-    fn collect_component(
-        &mut self,
-        source: ElementId,
-        stats: &SchemaStats,
-        n: usize,
-        max_edges: usize,
-        result: &mut SourceResult,
-    ) {
-        self.in_component[..n].fill(false);
-        self.component.clear();
-        self.in_component[source.index()] = true;
-        self.component.push(source.0);
-        let mut head = 0;
-        let mut frontier_end = self.component.len();
-        let mut depth = 0;
-        while head < self.component.len() && depth < max_edges {
-            while head < frontier_end {
-                let u = ElementId(self.component[head]);
-                head += 1;
-                // The pruning thresholds (and hence the whole trace) depend
-                // on this scan of `u`'s edge list.
-                Self::record_read(&mut self.read_flag, &mut result.reads, u.0);
-                for edge in stats.edges(u) {
-                    if edge.rc > 0.0 && !self.in_component[edge.neighbor.index()] {
-                        self.in_component[edge.neighbor.index()] = true;
-                        self.component.push(edge.neighbor.0);
-                    }
-                }
-            }
-            frontier_end = self.component.len();
-            depth += 1;
-        }
-    }
-
-    fn min_over(nodes: &[u32], values: &[f64]) -> f64 {
-        nodes
-            .iter()
-            .map(|&i| values[i as usize])
-            .fold(f64::INFINITY, f64::min)
-    }
-}
-
-/// Enumerate all simple paths from `source` with one-shot scratch. Callers
-/// exploring many sources should reuse an [`Explorer`] instead.
-pub fn explore_from(source: ElementId, stats: &SchemaStats, config: &PathConfig) -> SourceResult {
-    Explorer::new(stats.len()).explore(source, stats, config)
 }
 
 #[cfg(test)]
@@ -1128,6 +755,11 @@ mod tests {
     use schema_summary_core::stats::LinkCount;
     use schema_summary_core::types::SchemaType;
     use schema_summary_core::SchemaGraph;
+
+    /// One source, explored with a fresh `Explorer`.
+    fn explore_one(source: ElementId, stats: &SchemaStats, config: &PathConfig) -> SourceResult {
+        Explorer::new(stats.len()).explore(source, stats, config)
+    }
 
     /// The paper's Section 3.2 worked example: o with child b
     /// (RC(o→b)=2, RC(b→o)=1) plus 10 other children with RC 1 each way.
@@ -1169,8 +801,8 @@ mod tests {
     fn paper_affinity_example() {
         let (_, o, b, s) = paper_example();
         let cfg = PathConfig::default();
-        let from_b = explore_from(b, &s, &cfg);
-        let from_o = explore_from(o, &s, &cfg);
+        let from_b = explore_one(b, &s, &cfg);
+        let from_o = explore_one(o, &s, &cfg);
         // A(b→o) = 1/RC(b→o) = 1.0; A(o→b) = 1/RC(o→b) = 0.5.
         assert!((from_b.best_affinity[o.index()] - 1.0).abs() < 1e-9);
         assert!((from_o.best_affinity[b.index()] - 0.5).abs() < 1e-9);
@@ -1181,10 +813,10 @@ mod tests {
         let (_, o, b, s) = paper_example();
         let cfg = PathConfig::default();
         // C(o→b)/card_b = A(o→b) · W(b→o) = 0.5 · 1 = 0.5.
-        let from_o = explore_from(o, &s, &cfg);
+        let from_o = explore_one(o, &s, &cfg);
         assert!((from_o.best_cov_product[b.index()] - 0.5).abs() < 1e-9);
         // C(b→o)/card_o = A(b→o) · W(o→b) = 1.0 · 2/12 ≈ 0.1667.
-        let from_b = explore_from(b, &s, &cfg);
+        let from_b = explore_one(b, &s, &cfg);
         assert!((from_b.best_cov_product[o.index()] - 2.0 / 12.0).abs() < 1e-9);
     }
 
@@ -1195,7 +827,7 @@ mod tests {
             path_length: PathLength::Nodes,
             ..Default::default()
         };
-        let from_b = explore_from(b, &s, &cfg);
+        let from_b = explore_one(b, &s, &cfg);
         assert!((from_b.best_affinity[o.index()] - 0.5).abs() < 1e-9);
     }
 
@@ -1209,7 +841,7 @@ mod tests {
         let b = builder.add_child(a, "b", SchemaType::rcd()).unwrap();
         let g = builder.build().unwrap();
         let s = SchemaStats::uniform(&g);
-        let res = explore_from(g.root(), &s, &PathConfig::default());
+        let res = explore_one(g.root(), &s, &PathConfig::default());
         assert!((res.best_affinity[a.index()] - 1.0).abs() < 1e-9);
         assert!((res.best_affinity[b.index()] - 0.5).abs() < 1e-9);
     }
@@ -1260,7 +892,7 @@ mod tests {
             },
         ];
         let s = SchemaStats::from_link_counts(&g, &cards, &links).unwrap();
-        let res = explore_from(g.root(), &s, &PathConfig::default());
+        let res = explore_one(g.root(), &s, &PathConfig::default());
         // Direct edge r→t: affinity 1/RC(r→t) = 1.
         assert!((res.best_affinity[t.index()] - 1.0).abs() < 1e-9);
         // Through a: (1/1 · 1/1)/2 = 0.5 < 1, so the direct edge wins —
@@ -1299,7 +931,7 @@ mod tests {
             },
         ];
         let s2 = SchemaStats::from_link_counts(&g2, &cards2, &links2).unwrap();
-        let res2 = explore_from(g2.root(), &s2, &PathConfig::default());
+        let res2 = explore_one(g2.root(), &s2, &PathConfig::default());
         // Two paths to t2: r→a→t (product 1, len 2 → 0.5) and
         // r→b→t (product (1/10)·(1/1), len 2 → 0.05). Max = 0.5.
         assert!((res2.best_affinity[t2.index()] - 0.5).abs() < 1e-9);
@@ -1322,7 +954,7 @@ mod tests {
             max_edges: 5,
             ..Default::default()
         };
-        let res = explore_from(g.root(), &s, &cfg);
+        let res = explore_one(g.root(), &s, &cfg);
         assert!(res.best_affinity[ids[5].index()] > 0.0);
         assert_eq!(res.best_affinity[ids[6].index()], 0.0);
     }
@@ -1334,9 +966,12 @@ mod tests {
             max_expansions: 3,
             ..Default::default()
         };
-        let res = explore_from(o, &s, &cfg);
+        let res = explore_one(o, &s, &cfg);
         assert!(res.truncated);
         assert_eq!(res.expansions, 3);
+        // The cut layer still counts: the source plus the three children
+        // reached before the budget ran out.
+        assert_eq!(res.best_affinity.iter().filter(|&&a| a > 0.0).count(), 4);
     }
 
     #[test]
@@ -1348,21 +983,21 @@ mod tests {
         let g = builder.build().unwrap();
         // a has zero cardinality: no data connectivity at all.
         let s = SchemaStats::from_link_counts(&g, &[1, 0], &[]).unwrap();
-        let res = explore_from(g.root(), &s, &PathConfig::default());
+        let res = explore_one(g.root(), &s, &PathConfig::default());
         assert_eq!(res.best_affinity[a.index()], 0.0);
     }
 
     #[test]
     fn self_affinity_is_one() {
         let (_, o, b, s) = paper_example();
-        let res = explore_from(b, &s, &PathConfig::default());
+        let res = explore_one(b, &s, &PathConfig::default());
         assert_eq!(res.best_affinity[b.index()], 1.0);
         assert_eq!(res.best_cov_product[b.index()], 1.0);
         let _ = o;
     }
 
-    /// Build a diamond-rich graph where many paths exist so pruning has
-    /// something to cut: a 3-level tree with cross value links.
+    /// A diamond-rich graph where many paths reach each target: a 3-level
+    /// tree with cross value links.
     fn braided() -> (SchemaGraph, SchemaStats) {
         let mut b = SchemaGraphBuilder::new("r");
         let mut level1 = Vec::new();
@@ -1408,86 +1043,13 @@ mod tests {
     }
 
     #[test]
-    fn pruning_is_exact_and_cuts_expansions() {
-        let (g, s) = braided();
-        let pruned_cfg = PathConfig {
-            kernel: PathKernel::Dfs,
-            ..Default::default()
-        };
-        let unpruned_cfg = PathConfig {
-            kernel: PathKernel::Dfs,
-            prune: false,
-            ..Default::default()
-        };
-        let mut pruned_total = 0;
-        let mut unpruned_total = 0;
-        for e in g.element_ids() {
-            let pruned = explore_from(e, &s, &pruned_cfg);
-            let unpruned = explore_from(e, &s, &unpruned_cfg);
-            assert!(!pruned.truncated && !unpruned.truncated);
-            assert!(!pruned.floored && !unpruned.floored);
-            assert_eq!(pruned.best_affinity, unpruned.best_affinity, "source {e}");
-            assert_eq!(
-                pruned.best_cov_product, unpruned.best_cov_product,
-                "source {e}"
-            );
-            pruned_total += pruned.expansions;
-            unpruned_total += unpruned.expansions;
-        }
-        assert!(
-            pruned_total < unpruned_total,
-            "pruning cut nothing: {pruned_total} vs {unpruned_total}"
-        );
-    }
-
-    #[test]
-    fn min_product_floor_is_flagged_and_lower_bounds() {
-        let (g, s) = braided();
-        let exact_cfg = PathConfig {
-            kernel: PathKernel::Dfs,
-            ..Default::default()
-        };
-        // Compare expansion counts with pruning off: the floor cuts a strict
-        // subset of the unpruned search tree, whereas under pruning a
-        // floored run can expand *more* (its lower recorded maxima weaken
-        // the prune thresholds).
-        let unpruned_cfg = PathConfig {
-            kernel: PathKernel::Dfs,
-            prune: false,
-            ..Default::default()
-        };
-        let floored_cfg = PathConfig {
-            kernel: PathKernel::Dfs,
-            min_product: 0.05,
-            prune: false,
-            ..Default::default()
-        };
-        let mut any_floored = false;
-        for e in g.element_ids() {
-            let exact = explore_from(e, &s, &exact_cfg);
-            let unpruned = explore_from(e, &s, &unpruned_cfg);
-            let approx = explore_from(e, &s, &floored_cfg);
-            any_floored |= approx.floored;
-            for i in 0..s.len() {
-                assert!(approx.best_affinity[i] <= exact.best_affinity[i] + 1e-15);
-                assert!(approx.best_cov_product[i] <= exact.best_cov_product[i] + 1e-15);
-            }
-            assert!(approx.expansions <= unpruned.expansions);
-        }
-        assert!(
-            any_floored,
-            "floor of 0.05 cut nothing on the braided graph"
-        );
-    }
-
-    #[test]
     fn explorer_scratch_is_reusable_across_sources() {
         let (g, s) = braided();
         let mut explorer = Explorer::new(s.len());
         let cfg = PathConfig::default();
         for e in g.element_ids() {
             let reused = explorer.explore(e, &s, &cfg);
-            let fresh = explore_from(e, &s, &cfg);
+            let fresh = explore_one(e, &s, &cfg);
             assert_eq!(reused.best_affinity, fresh.best_affinity, "source {e}");
             assert_eq!(
                 reused.best_cov_product, fresh.best_cov_product,
@@ -1500,33 +1062,26 @@ mod tests {
     #[test]
     fn truncated_exploration_leaves_scratch_clean() {
         let (g, s) = braided();
-        for kernel in [PathKernel::Dfs, PathKernel::Layered] {
-            let mut explorer = Explorer::new(s.len());
-            let tight = PathConfig {
-                kernel,
-                max_expansions: 5,
-                ..Default::default()
-            };
-            let res = explorer.explore(g.root(), &s, &tight);
-            assert!(res.truncated);
-            // A subsequent full exploration on the same scratch must be
-            // correct.
-            let full = PathConfig {
-                kernel,
-                ..Default::default()
-            };
-            let after = explorer.explore(g.root(), &s, &full);
-            let fresh = explore_from(g.root(), &s, &full);
-            assert_eq!(after.best_affinity, fresh.best_affinity);
-            assert_eq!(after.best_cov_product, fresh.best_cov_product);
-        }
+        let mut explorer = Explorer::new(s.len());
+        let tight = PathConfig {
+            max_expansions: 5,
+            ..Default::default()
+        };
+        let res = explorer.explore(g.root(), &s, &tight);
+        assert!(res.truncated);
+        // A subsequent full exploration on the same scratch must be
+        // correct.
+        let full = PathConfig::default();
+        let after = explorer.explore(g.root(), &s, &full);
+        let fresh = explore_one(g.root(), &s, &full);
+        assert_eq!(after.best_affinity, fresh.best_affinity);
+        assert_eq!(after.best_cov_product, fresh.best_cov_product);
     }
 
     /// The whole per-source contract, bit-for-bit: values, flags,
     /// expansion counts, and read sets.
     fn assert_result_bits_eq(a: &SourceResult, b: &SourceResult, ctx: &str) {
         assert_eq!(a.truncated, b.truncated, "{ctx}: truncated");
-        assert_eq!(a.floored, b.floored, "{ctx}: floored");
         assert_eq!(a.expansions, b.expansions, "{ctx}: expansions");
         assert_eq!(a.reads, b.reads, "{ctx}: reads");
         for i in 0..a.best_affinity.len() {
@@ -1546,10 +1101,7 @@ mod tests {
     #[test]
     fn batched_kernel_matches_single_source_bitwise() {
         let (g, s) = braided();
-        let cfg = PathConfig {
-            kernel: PathKernel::Layered,
-            ..Default::default()
-        };
+        let cfg = PathConfig::default();
         let sources: Vec<_> = g.element_ids().collect();
         for batch in [1usize, 2, 3, 7, sources.len()] {
             let mut batched = Explorer::new(s.len());
@@ -1572,7 +1124,6 @@ mod tests {
         // order-dependent case: those lanes must be re-run scalar.
         for max_expansions in [0usize, 1, 3, 5, 17, 40] {
             let cfg = PathConfig {
-                kernel: PathKernel::Layered,
                 max_expansions,
                 ..Default::default()
             };
@@ -1595,16 +1146,12 @@ mod tests {
     #[test]
     fn batch_scratch_is_reusable_across_batches() {
         let (g, s) = braided();
-        let cfg = PathConfig {
-            kernel: PathKernel::Layered,
-            ..Default::default()
-        };
+        let cfg = PathConfig::default();
         let sources: Vec<_> = g.element_ids().collect();
         let mut explorer = Explorer::new(s.len());
         let first = explorer.explore_batch(&sources, &s, &cfg);
         // Interleave a truncating batch to dirty the arenas, then repeat.
         let tight = PathConfig {
-            kernel: PathKernel::Layered,
             max_expansions: 5,
             ..Default::default()
         };
@@ -1612,153 +1159,6 @@ mod tests {
         let second = explorer.explore_batch(&sources, &s, &cfg);
         for (i, (a, b)) in first.iter().zip(&second).enumerate() {
             assert_result_bits_eq(a, b, &format!("reuse src index {i}"));
-        }
-    }
-
-    #[test]
-    fn batched_kernel_falls_back_for_dfs_configs() {
-        let (g, s) = braided();
-        // A positive floor always resolves to DFS; explore_batch must
-        // transparently run per-source.
-        let cfg = PathConfig {
-            min_product: 0.05,
-            prune: false,
-            ..Default::default()
-        };
-        let sources: Vec<_> = g.element_ids().collect();
-        let mut batched = Explorer::new(s.len());
-        let mut scalar = Explorer::new(s.len());
-        let results = batched.explore_batch(&sources, &s, &cfg);
-        for (src, got) in sources.iter().zip(&results) {
-            let want = scalar.explore(*src, &s, &cfg);
-            assert_result_bits_eq(got, &want, &format!("dfs fallback src={src}"));
-        }
-    }
-
-    #[test]
-    fn layered_kernel_matches_dfs_enumeration() {
-        let (g, s) = braided();
-        let layered_cfg = PathConfig {
-            kernel: PathKernel::Layered,
-            ..Default::default()
-        };
-        let dfs_cfg = PathConfig {
-            kernel: PathKernel::Dfs,
-            ..Default::default()
-        };
-        for e in g.element_ids() {
-            let layered = explore_from(e, &s, &layered_cfg);
-            let dfs = explore_from(e, &s, &dfs_cfg);
-            assert!(!layered.truncated && !dfs.truncated);
-            for i in 0..s.len() {
-                let (la, da) = (layered.best_affinity[i], dfs.best_affinity[i]);
-                assert!(
-                    (la - da).abs() <= 1e-12 * da.max(1.0),
-                    "aff {e}→{i}: {la} vs {da}"
-                );
-                let (lc, dc) = (layered.best_cov_product[i], dfs.best_cov_product[i]);
-                assert!(
-                    (lc - dc).abs() <= 1e-12 * dc.max(1.0),
-                    "cov {e}→{i}: {lc} vs {dc}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn positive_min_product_falls_back_to_dfs_semantics() {
-        // A layered config with a positive floor must behave like the DFS
-        // kernel with the same floor (the layered kernel cannot express the
-        // joint affinity/coverage floor).
-        let (g, s) = braided();
-        let via_layered = PathConfig {
-            min_product: 0.05,
-            ..Default::default()
-        };
-        let via_dfs = PathConfig {
-            kernel: PathKernel::Dfs,
-            min_product: 0.05,
-            ..Default::default()
-        };
-        for e in g.element_ids() {
-            let a = explore_from(e, &s, &via_layered);
-            let b = explore_from(e, &s, &via_dfs);
-            assert_eq!(a.best_affinity, b.best_affinity);
-            assert_eq!(a.best_cov_product, b.best_cov_product);
-            assert_eq!(a.expansions, b.expansions);
-        }
-    }
-
-    /// A pure tree: minimal density, CSR average degree ≈ 2.
-    fn sparse_tree(n: usize) -> SchemaStats {
-        let mut b = SchemaGraphBuilder::new("r");
-        let mut prev = b.root();
-        for i in 1..n {
-            prev = b
-                .add_child(prev, format!("t{i}"), SchemaType::set_of_rcd())
-                .unwrap();
-        }
-        let g = b.build().unwrap();
-        SchemaStats::uniform(&g)
-    }
-
-    #[test]
-    fn auto_kernel_resolves_by_node_count_and_density() {
-        let cfg = PathConfig::default();
-        assert_eq!(cfg.kernel, PathKernel::Auto);
-        // Tiny and tree-sparse: enumeration wins (BENCH_matrices.json,
-        // n=25 sparse synthetic).
-        assert_eq!(cfg.effective_kernel(&sparse_tree(25)), PathKernel::Dfs);
-        // Large: layered regardless of density.
-        assert_eq!(
-            cfg.effective_kernel(&sparse_tree(AUTO_NODE_THRESHOLD)),
-            PathKernel::Layered
-        );
-        // Small but densely value-linked (braided: avg degree > 2.5).
-        let (_, dense) = braided();
-        assert_eq!(cfg.effective_kernel(&dense), PathKernel::Layered);
-        // Explicit kernels resolve to themselves; a positive floor always
-        // resolves to DFS (joint-floor semantics).
-        let explicit = PathConfig {
-            kernel: PathKernel::Layered,
-            ..Default::default()
-        };
-        assert_eq!(
-            explicit.effective_kernel(&sparse_tree(8)),
-            PathKernel::Layered
-        );
-        let floored = PathConfig {
-            min_product: 0.05,
-            ..Default::default()
-        };
-        assert_eq!(floored.effective_kernel(&dense), PathKernel::Dfs);
-    }
-
-    #[test]
-    fn auto_kernel_matches_both_explicit_kernels() {
-        let (g, s) = braided();
-        let auto_cfg = PathConfig::default();
-        for kernel in [PathKernel::Layered, PathKernel::Dfs] {
-            let explicit = PathConfig {
-                kernel,
-                ..Default::default()
-            };
-            for e in g.element_ids() {
-                let a = explore_from(e, &s, &auto_cfg);
-                let b = explore_from(e, &s, &explicit);
-                for i in 0..s.len() {
-                    assert!(
-                        (a.best_affinity[i] - b.best_affinity[i]).abs()
-                            <= 1e-12 * b.best_affinity[i].max(1.0),
-                        "aff {e}→{i} vs {kernel:?}"
-                    );
-                    assert!(
-                        (a.best_cov_product[i] - b.best_cov_product[i]).abs()
-                            <= 1e-12 * b.best_cov_product[i].max(1.0),
-                        "cov {e}→{i} vs {kernel:?}"
-                    );
-                }
-            }
         }
     }
 }

@@ -4,9 +4,10 @@
 use proptest::prelude::*;
 use schema_summary_algo::assignment::{assign_elements, summary_coverage};
 use schema_summary_algo::importance::{compute_importance, compute_importance_rebased};
+use schema_summary_algo::paths::SourceResult;
 use schema_summary_algo::{
     build_multi_level, max_coverage, plan_delta, refresh_multi_level, Algorithm, DominanceSet,
-    ImportanceConfig, PairMatrices, PathConfig, PathKernel, PathLength, SetSearch, Summarizer,
+    Explorer, ImportanceConfig, PairMatrices, PathConfig, PathLength, SetSearch, Summarizer,
 };
 use schema_summary_core::stats::LinkCount;
 use schema_summary_core::{
@@ -82,7 +83,7 @@ fn build(
 /// `secs` (card, leaf fan-out), leaves under each section, plus value links
 /// picked by index pairs (invalid or duplicate picks are skipped). Value
 /// links create diamonds and cycles, which is exactly the regime where the
-/// path kernels disagree if one of them is wrong.
+/// path kernel and the enumeration oracle disagree if either is wrong.
 fn linked_schema(
     secs: &[(u64, usize)],
     link_picks: &[(usize, usize)],
@@ -262,6 +263,66 @@ fn grown_linked_schema(
     (g, cards, links)
 }
 
+/// Formulas 2 and 3 by brute force: enumerate every simple path of at most
+/// `max_edges` traversable (`rc > 0`) edges from `source`, and keep each
+/// target's largest affinity (product over the length denominator) and
+/// coverage product. No pruning of any kind. The products multiply in the
+/// kernel's order, so agreement is expected bit for bit.
+fn dfs_oracle(stats: &SchemaStats, source: ElementId, config: &PathConfig) -> (Vec<f64>, Vec<f64>) {
+    let n = stats.len();
+    let mut oracle = DfsOracle {
+        stats,
+        config,
+        on_path: vec![false; n],
+        aff: vec![0.0; n],
+        cov: vec![0.0; n],
+    };
+    oracle.on_path[source.index()] = true;
+    oracle.aff[source.index()] = 1.0;
+    oracle.cov[source.index()] = 1.0;
+    oracle.extend(source, 1.0, 1.0, 0);
+    (oracle.aff, oracle.cov)
+}
+
+/// The state of [`dfs_oracle`]'s recursion: the elements on the current
+/// path and the best values recorded so far.
+struct DfsOracle<'a> {
+    stats: &'a SchemaStats,
+    config: &'a PathConfig,
+    on_path: Vec<bool>,
+    aff: Vec<f64>,
+    cov: Vec<f64>,
+}
+
+impl DfsOracle<'_> {
+    /// Extend a path of `edges` edges ending at `u`, whose affinity and
+    /// coverage products are `a` and `c`, by every edge that keeps it
+    /// simple.
+    fn extend(&mut self, u: ElementId, a: f64, c: f64, edges: usize) {
+        if edges == self.config.max_edges {
+            return;
+        }
+        let (scale, denom) = match self.config.path_length {
+            PathLength::Edges => (1.0, (edges + 1) as f64),
+            PathLength::Nodes => (0.5, (edges + 2) as f64),
+        };
+        let stats = self.stats;
+        for e in stats.edges(u) {
+            let v = e.neighbor.index();
+            if e.rc <= 0.0 || self.on_path[v] {
+                continue;
+            }
+            let na = a * e.rc_factor;
+            let nc = c * (scale * e.rc_factor) * e.w_back;
+            self.aff[v] = self.aff[v].max(na / denom);
+            self.cov[v] = self.cov[v].max(nc);
+            self.on_path[v] = true;
+            self.extend(e.neighbor, na, nc, edges + 1);
+            self.on_path[v] = false;
+        }
+    }
+}
+
 /// Greedy `MaxCoverage` scored from scratch: every candidate of every
 /// round gets a full `assign_elements` + `summary_coverage` of the
 /// selection plus the candidate, and the best is taken out of `remaining`
@@ -427,20 +488,22 @@ proptest! {
         }
     }
 
-    /// Work-stealing parallel and serial matrix computation agree
-    /// bit-for-bit on randomized value-linked graphs, for both kernels.
-    /// `parallel_threshold: 0` plus an explicit thread count forces the
-    /// parallel path even on single-core machines and small schemas.
+    /// Work stealing on four threads and the inline pass on one thread
+    /// agree bit for bit on randomized value-linked graphs, with and
+    /// without a budget that truncates some rows. An explicit thread count
+    /// runs the parallel path even on single-core machines and small
+    /// schemas.
     #[test]
     fn parallel_matrices_match_serial(
         secs in prop::collection::vec((1u64..40, 1usize..5), 3..6),
         picks in prop::collection::vec((0usize..64, 0usize..64), 1..8),
+        budget in 2usize..200,
     ) {
         let (g, s) = linked_schema(&secs, &picks);
-        for kernel in [PathKernel::Layered, PathKernel::Dfs] {
-            let cfg = PathConfig { kernel, parallel_threshold: 0, ..Default::default() };
+        let truncating = PathConfig { max_expansions: budget, ..Default::default() };
+        for cfg in [PathConfig::default(), truncating] {
             let par = PairMatrices::compute_with_threads(&s, &cfg, 4);
-            let ser = PairMatrices::compute_serial(&s, &cfg);
+            let ser = PairMatrices::compute_with_threads(&s, &cfg, 1);
             for x in g.element_ids() {
                 for t in g.element_ids() {
                     prop_assert_eq!(par.affinity(x, t).to_bits(), ser.affinity(x, t).to_bits());
@@ -448,60 +511,38 @@ proptest! {
                 }
             }
             prop_assert_eq!(par.truncated(), ser.truncated());
-            prop_assert_eq!(par.floored(), ser.floored());
             prop_assert_eq!(par.expansions(), ser.expansions());
         }
     }
 
-    /// Branch-and-bound pruning is exact: pruned and unpruned DFS
-    /// enumeration produce bit-identical matrices on randomized
-    /// value-linked graphs.
+    /// The layered kernel reproduces brute-force simple-path enumeration
+    /// bit for bit, under both path-length conventions — the empirical
+    /// counterpart of the walks-equal-paths argument (DESIGN.md §3.14).
+    /// Zero-cardinality sections put untraversable (`rc = 0`) edges in
+    /// the graph.
     #[test]
-    fn pruned_dfs_matches_unpruned(
-        secs in prop::collection::vec((1u64..40, 1usize..5), 3..6),
+    fn path_kernel_matches_dfs_oracle(
+        secs in prop::collection::vec((0u64..40, 1usize..5), 3..6),
         picks in prop::collection::vec((0usize..64, 0usize..64), 1..8),
     ) {
         let (g, s) = linked_schema(&secs, &picks);
-        let pruned_cfg = PathConfig { kernel: PathKernel::Dfs, prune: true, ..Default::default() };
-        let unpruned_cfg = PathConfig { kernel: PathKernel::Dfs, prune: false, ..Default::default() };
-        let pruned = PairMatrices::compute_serial(&s, &pruned_cfg);
-        let unpruned = PairMatrices::compute_serial(&s, &unpruned_cfg);
-        // Budget exhaustion stops the two searches at different points;
-        // exactness is only claimed for complete explorations.
-        prop_assume!(!unpruned.truncated());
-        for x in g.element_ids() {
-            for t in g.element_ids() {
-                prop_assert_eq!(pruned.affinity(x, t).to_bits(), unpruned.affinity(x, t).to_bits());
-                prop_assert_eq!(pruned.coverage(x, t).to_bits(), unpruned.coverage(x, t).to_bits());
-            }
-        }
-        prop_assert!(pruned.expansions() <= unpruned.expansions());
-    }
-
-    /// The layered relaxation kernel agrees with exhaustive DFS enumeration
-    /// on randomized value-linked graphs — the empirical counterpart of the
-    /// walks-equal-paths argument (DESIGN.md §3.14).
-    #[test]
-    fn layered_kernel_matches_dfs(
-        secs in prop::collection::vec((1u64..40, 1usize..5), 3..6),
-        picks in prop::collection::vec((0usize..64, 0usize..64), 1..8),
-    ) {
-        let (g, s) = linked_schema(&secs, &picks);
-        let layered = PairMatrices::compute_serial(
-            &s,
-            &PathConfig { kernel: PathKernel::Layered, ..Default::default() },
-        );
-        let dfs = PairMatrices::compute_serial(
-            &s,
-            &PathConfig { kernel: PathKernel::Dfs, ..Default::default() },
-        );
-        prop_assume!(!dfs.truncated() && !layered.truncated());
-        for x in g.element_ids() {
-            for t in g.element_ids() {
-                let (la, da) = (layered.affinity(x, t), dfs.affinity(x, t));
-                prop_assert!((la - da).abs() <= 1e-12 * da.max(1.0), "aff {x}→{t}: {la} vs {da}");
-                let (lc, dc) = (layered.coverage(x, t), dfs.coverage(x, t));
-                prop_assert!((lc - dc).abs() <= 1e-12 * dc.max(1.0), "cov {x}→{t}: {lc} vs {dc}");
+        for path_length in [PathLength::Edges, PathLength::Nodes] {
+            let cfg = PathConfig { path_length, ..Default::default() };
+            let computed = PairMatrices::compute(&s, &cfg);
+            let serial = PairMatrices::compute_with_threads(&s, &cfg, 1);
+            // The oracle has no budget; a truncated kernel run is only a
+            // lower bound.
+            prop_assume!(!computed.truncated());
+            for x in g.element_ids() {
+                let (aff, cov) = dfs_oracle(&s, x, &cfg);
+                for t in g.element_ids() {
+                    let want_aff = aff[t.index()].to_bits();
+                    let want_cov = (s.card(t) * cov[t.index()]).to_bits();
+                    for m in [&computed, &serial] {
+                        prop_assert_eq!(m.affinity(x, t).to_bits(), want_aff, "aff {}→{}", x, t);
+                        prop_assert_eq!(m.coverage(x, t).to_bits(), want_cov, "cov {}→{}", x, t);
+                    }
+                }
             }
         }
     }
@@ -509,7 +550,7 @@ proptest! {
     /// A warm matrix refresh — `plan_delta` over a cardinality delta, then
     /// `PairMatrices::splice` of the recompute set into the old matrices —
     /// is bit-identical to a cold recompute on the new statistics,
-    /// including the truncation/floor flags and expansion counts.
+    /// including the truncation flag and expansion counts.
     #[test]
     fn incremental_splice_matches_cold(
         secs in prop::collection::vec((1u64..40, 1usize..5), 3..6),
@@ -527,12 +568,12 @@ proptest! {
         let delta = SchemaDelta::compute(&g, &old, &g2, &new);
         prop_assert!(!delta.is_empty());
         let config = PathConfig::default();
-        let old_m = PairMatrices::compute_serial(&old, &config);
+        let old_m = PairMatrices::compute(&old, &config);
         let plan = plan_delta(&delta, &g, &old, &g2, &new, &old_m, &config, 1.0).unwrap();
         // A real delta either re-explores rows or rescales coverage.
         prop_assert!(plan.rows >= 1 || plan.rescaled);
         let warm = old_m.splice(&new, &config, &plan.recompute).unwrap();
-        let cold = PairMatrices::compute_serial(&new, &config);
+        let cold = PairMatrices::compute(&new, &config);
         prop_assert!(warm.bitwise_eq(&cold));
     }
 
@@ -553,7 +594,7 @@ proptest! {
         let (_, new) = linked_schema(&secs2, &picks);
         let config = PathConfig::default();
         let delta = SchemaDelta::compute(&g, &old, &g, &new);
-        let old_m = PairMatrices::compute_serial(&old, &config);
+        let old_m = PairMatrices::compute(&old, &config);
         let plan = plan_delta(&delta, &g, &old, &g, &new, &old_m, &config, 1.0).unwrap();
         let new_m = old_m.splice(&new, &config, &plan.recompute).unwrap();
         // Rows whose *values* may differ from the cached stack's matrices:
@@ -602,20 +643,18 @@ proptest! {
         // skip the no-op draws, everything else must classify additive.
         prop_assume!(!delta.is_empty());
         prop_assert_eq!(delta.class, DeltaClass::AdditiveStructural);
-        // Pin the kernel: growth may cross the auto-resolution thresholds,
-        // which is a (tested) cold fallback, not the regime under test.
-        let config = PathConfig { kernel: PathKernel::Layered, ..Default::default() };
-        let old_m = PairMatrices::compute_serial(&old, &config);
+        let config = PathConfig::default();
+        let old_m = PairMatrices::compute(&old, &config);
         let plan = plan_delta(&delta, &g, &old, &g2, &new, &old_m, &config, 1.0)
             .expect("additive growth must plan warm");
         prop_assert_eq!(plan.grown, g2.len() - g.len());
         let warm = old_m.splice(&new, &config, &plan.recompute).unwrap();
-        let cold = PairMatrices::compute_serial(&new, &config);
+        let cold = PairMatrices::compute(&new, &config);
         prop_assert!(warm.bitwise_eq(&cold));
     }
 
     /// Dormant growth — DDL before data. Appended elements whose links
-    /// all carry zero counts are invisible to every path kernel, so each
+    /// all carry zero counts are invisible to the path kernel, so each
     /// old row replays bit-for-bit over the grown statistics: the plan
     /// recomputes nothing but the appended rows themselves and the
     /// splice is still bit-identical to a cold recompute.
@@ -648,15 +687,15 @@ proptest! {
         let new = SchemaStats::from_link_counts(&g2, &cards2, &links2).unwrap();
         let delta = SchemaDelta::compute(&g, &old, &g2, &new);
         prop_assert_eq!(delta.class, DeltaClass::AdditiveStructural);
-        let config = PathConfig { kernel: PathKernel::Layered, ..Default::default() };
-        let old_m = PairMatrices::compute_serial(&old, &config);
+        let config = PathConfig::default();
+        let old_m = PairMatrices::compute(&old, &config);
         let plan = plan_delta(&delta, &g, &old, &g2, &new, &old_m, &config, 1.0)
             .expect("dormant growth must plan warm");
         prop_assert_eq!(plan.grown, g2.len() - n_old);
         prop_assert_eq!(plan.touched, 0);
         prop_assert_eq!(plan.rows, plan.grown);
         let warm = old_m.splice(&new, &config, &plan.recompute).unwrap();
-        let cold = PairMatrices::compute_serial(&new, &config);
+        let cold = PairMatrices::compute(&new, &config);
         prop_assert!(warm.bitwise_eq(&cold));
     }
 
@@ -713,48 +752,57 @@ proptest! {
         let grown = SchemaStats::from_link_counts(&g2, &cards2, &links2).unwrap();
         let delta = SchemaDelta::compute(&g2, &grown, &g, &base);
         prop_assert_eq!(delta.class, DeltaClass::Destructive);
-        let config = PathConfig { kernel: PathKernel::Layered, ..Default::default() };
-        let old_m = PairMatrices::compute_serial(&grown, &config);
+        let config = PathConfig::default();
+        let old_m = PairMatrices::compute(&grown, &config);
         prop_assert!(
             plan_delta(&delta, &g2, &grown, &g, &base, &old_m, &config, 1.0).is_none()
         );
     }
 
-    /// The multi-source batched layered kernel is bit-identical to the
-    /// single-source driver at every batch size — one lane, partial last
-    /// batches (2, 7), a full 64-lane batch, and "all sources in one
-    /// batch" — including the per-source expansion accounting.
+    /// The multi-source batched layered kernel is bit-identical to
+    /// single-source exploration at every chunk size — one lane, partial
+    /// last chunks (2, 7), a full 64-lane chunk, and all sources at once —
+    /// including expansion counts, truncation and read sets, with and
+    /// without a budget that evicts lanes to the single-source kernel.
+    /// Zero-cardinality sections put untraversable edges in the graph.
     #[test]
     fn batched_layered_matches_single_source(
-        secs in prop::collection::vec((1u64..40, 1usize..5), 3..6),
+        secs in prop::collection::vec((0u64..40, 1usize..5), 3..6),
         picks in prop::collection::vec((0usize..64, 0usize..64), 1..8),
+        budget in 2usize..200,
     ) {
         let (g, s) = linked_schema(&secs, &picks);
-        let cfg = PathConfig {
-            kernel: PathKernel::Layered,
-            parallel_threshold: 0,
-            ..Default::default()
-        };
-        let single = PairMatrices::compute_with_threads_batched(&s, &cfg, 4, 1);
-        for batch in [2usize, 7, 64, s.len().max(1)] {
-            let batched = PairMatrices::compute_with_threads_batched(&s, &cfg, 4, batch);
-            for x in g.element_ids() {
-                for t in g.element_ids() {
-                    prop_assert_eq!(
-                        batched.affinity(x, t).to_bits(),
-                        single.affinity(x, t).to_bits(),
-                        "aff {}→{} at batch {}", x, t, batch
-                    );
-                    prop_assert_eq!(
-                        batched.coverage(x, t).to_bits(),
-                        single.coverage(x, t).to_bits(),
-                        "cov {}→{} at batch {}", x, t, batch
-                    );
+        let sources: Vec<ElementId> = g.element_ids().collect();
+        let truncating = PathConfig { max_expansions: budget, ..Default::default() };
+        for cfg in [PathConfig::default(), truncating] {
+            let mut single = Explorer::new(s.len());
+            let want: Vec<SourceResult> =
+                sources.iter().map(|&x| single.explore(x, &s, &cfg)).collect();
+            for chunk in [1usize, 2, 7, 64, s.len()] {
+                let mut batched = Explorer::new(s.len());
+                let got: Vec<SourceResult> = sources
+                    .chunks(chunk)
+                    .flat_map(|c| batched.explore_batch(c, &s, &cfg))
+                    .collect();
+                prop_assert_eq!(got.len(), want.len());
+                for (x, (a, b)) in sources.iter().zip(got.iter().zip(&want)) {
+                    prop_assert_eq!(a.truncated, b.truncated, "truncated {} at {}", x, chunk);
+                    prop_assert_eq!(a.expansions, b.expansions, "expansions {} at {}", x, chunk);
+                    prop_assert_eq!(&a.reads, &b.reads, "reads {} at {}", x, chunk);
+                    for t in 0..s.len() {
+                        prop_assert_eq!(
+                            a.best_affinity[t].to_bits(),
+                            b.best_affinity[t].to_bits(),
+                            "aff {}→{} at {}", x, t, chunk
+                        );
+                        prop_assert_eq!(
+                            a.best_cov_product[t].to_bits(),
+                            b.best_cov_product[t].to_bits(),
+                            "cov {}→{} at {}", x, t, chunk
+                        );
+                    }
                 }
             }
-            prop_assert_eq!(batched.truncated(), single.truncated());
-            prop_assert_eq!(batched.floored(), single.floored());
-            prop_assert_eq!(batched.expansions(), single.expansions());
         }
     }
 
@@ -816,33 +864,6 @@ proptest! {
             seeded_dev <= 2.0 * cold_dev + 10.0 * config.epsilon,
             "seeded {seeded_dev:e} from fixpoint vs cold {cold_dev:e}"
         );
-    }
-
-    /// The auto-switch heuristic (default kernel) always resolves to one of
-    /// the two explicit kernels and reproduces that kernel bit-for-bit on
-    /// randomized value-linked graphs.
-    #[test]
-    fn auto_kernel_matches_its_resolution(
-        secs in prop::collection::vec((1u64..40, 1usize..5), 3..6),
-        picks in prop::collection::vec((0usize..64, 0usize..64), 1..8),
-    ) {
-        let (g, s) = linked_schema(&secs, &picks);
-        let auto_cfg = PathConfig::default();
-        prop_assert_eq!(auto_cfg.kernel, PathKernel::Auto);
-        let resolved = auto_cfg.effective_kernel(&s);
-        prop_assert!(resolved == PathKernel::Layered || resolved == PathKernel::Dfs);
-        let auto = PairMatrices::compute_serial(&s, &auto_cfg);
-        let explicit = PairMatrices::compute_serial(
-            &s,
-            &PathConfig { kernel: resolved, ..Default::default() },
-        );
-        for x in g.element_ids() {
-            for t in g.element_ids() {
-                prop_assert_eq!(auto.affinity(x, t).to_bits(), explicit.affinity(x, t).to_bits());
-                prop_assert_eq!(auto.coverage(x, t).to_bits(), explicit.coverage(x, t).to_bits());
-            }
-        }
-        prop_assert_eq!(auto.expansions(), explicit.expansions());
     }
 }
 
@@ -1080,4 +1101,83 @@ fn dominance_kernel_runs_several_sweeps_per_element() {
     let (g, s) = linked_schema(&secs, &picks);
     let widest = assert_dominance_matches_oracle(&g, &s, &PathConfig::default());
     assert!(widest > 16, "widest ancestor set {widest}");
+}
+
+/// A valid `PairMatrices` encoding of a small randomized schema, computed
+/// under a budget so some draws carry truncated rows.
+fn encoded_matrices(secs: &[(u64, usize)], picks: &[(usize, usize)], budget: usize) -> Vec<u8> {
+    let (_, s) = linked_schema(secs, picks);
+    let cfg = PathConfig {
+        max_expansions: budget,
+        ..Default::default()
+    };
+    PairMatrices::compute(&s, &cfg).to_bytes()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `PairMatrices::from_bytes` parses bytes read back from disk:
+    /// arbitrary input must come back `None`, without panicking.
+    #[test]
+    fn matrices_codec_rejects_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+    ) {
+        prop_assert!(PairMatrices::from_bytes(&bytes).is_none());
+    }
+
+    /// A header claiming a huge matrix over a short body is rejected from
+    /// the length check, before anything is allocated for it.
+    #[test]
+    fn matrices_codec_rejects_oversized_headers(
+        n in 256u64..u64::MAX,
+        body in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let mut bytes = n.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&body);
+        prop_assert!(PairMatrices::from_bytes(&bytes).is_none());
+    }
+
+    /// Every strict prefix of a valid encoding is rejected.
+    #[test]
+    fn matrices_codec_rejects_every_truncation(
+        secs in prop::collection::vec((1u64..40, 1usize..3), 1..3),
+        picks in prop::collection::vec((0usize..64, 0usize..64), 0..3),
+        budget in 2usize..200,
+    ) {
+        let bytes = encoded_matrices(&secs, &picks, budget);
+        prop_assert!(PairMatrices::from_bytes(&bytes).is_some());
+        for len in 0..bytes.len() {
+            prop_assert!(PairMatrices::from_bytes(&bytes[..len]).is_none(), "prefix {}", len);
+        }
+    }
+
+    /// Overwriting any single byte of a valid encoding either gets the
+    /// input rejected or decodes to matrices that re-encode to exactly
+    /// the mutated bytes: every accepted encoding is canonical.
+    #[test]
+    fn matrices_codec_single_byte_overwrites_reject_or_roundtrip(
+        secs in prop::collection::vec((1u64..40, 1usize..3), 1..3),
+        picks in prop::collection::vec((0usize..64, 0usize..64), 0..3),
+        budget in 2usize..200,
+        flip in 1u8..=255,
+    ) {
+        let bytes = encoded_matrices(&secs, &picks, budget);
+        for pos in 0..bytes.len() {
+            let mut mutated = bytes.clone();
+            mutated[pos] ^= flip;
+            if let Some(m) = PairMatrices::from_bytes(&mutated) {
+                prop_assert_eq!(m.to_bytes(), mutated, "overwrite at {}", pos);
+            }
+        }
+    }
+}
+
+/// A header claiming `n = 2^31` over a 100-byte body: `n²` cells would
+/// need 2^65 bytes per matrix, so the decoder must refuse without trying.
+#[test]
+fn matrices_codec_rejects_a_2_pow_31_header() {
+    let mut bytes = vec![0u8; 100];
+    bytes[..8].copy_from_slice(&(1u64 << 31).to_le_bytes());
+    assert!(PairMatrices::from_bytes(&bytes).is_none());
 }

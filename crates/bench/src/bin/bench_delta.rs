@@ -280,9 +280,7 @@ fn measure_growth(
     let reader_count = |e: usize| {
         let mut touched = vec![false; n];
         touched[e] = true;
-        old_m
-            .rows_reading(&touched)
-            .map_or(n, |r| r.iter().filter(|&&b| b).count())
+        old_m.rows_reading(&touched).iter().filter(|&&b| b).count()
     };
     let mut ranked: Vec<(usize, usize)> = graph
         .element_ids()
@@ -322,7 +320,7 @@ fn measure_growth(
             .expect("additive structural delta must plan");
         assert_eq!(plan.grown, extra);
         if dormant {
-            // Zero-count growth is invisible to the kernels: the plan
+            // Zero-count growth is invisible to the path kernel: the plan
             // must recompute the appended rows and nothing else.
             assert_eq!(plan.rows, extra, "{dataset}: dormant growth over-plans");
         }

@@ -1,21 +1,22 @@
-//! Harness target emitting `BENCH_matrices.json`: before/after numbers for
-//! the cold all-pairs matrix pass.
+//! Harness target emitting `BENCH_matrices.json`: wall time of the cold
+//! all-pairs matrix pass.
 //!
-//! "Before" is the pre-overhaul algorithm re-measured on this machine — the
-//! DFS enumeration without pruning, which performs the same expansions as
-//! the old recursive kernel — alongside the pruned DFS, the single-source
-//! layered kernel, the **batched** layered kernel (the driver default for
-//! layered-resolving configs), and the `Auto` policy as shipped. The XMark
-//! SF 1.0 rows are the acceptance measurement; the synthetic rows show
-//! scaling in element count and value-link density.
+//! Three rows per dataset: [`PairMatrices::compute`] as shipped (batched
+//! layered kernel, thread count chosen from the schema size), the same
+//! pass pinned to one thread, and a one-thread loop of single-source
+//! [`Explorer::explore`] calls — the kernel without batching — whose ratio
+//! to the one-thread batched row isolates the win of the multi-source
+//! frontier sweep. The XMark SF 1.0 row is the headline measurement; the synthetic
+//! rows show scaling in element count and value-link density, down to the
+//! small sizes (n = 25 and 47) that DESIGN.md §3.19 quotes.
 //!
 //! Run with `cargo run --release -p schema-summary-bench --bin
 //! bench_matrices`. Pass `--quick` for a single-repetition smoke run (CI):
 //! same datasets and rows, no timing stability.
 
-use schema_summary_algo::{PairMatrices, PathConfig, PathKernel, DEFAULT_SOURCE_BATCH};
+use schema_summary_algo::{Explorer, PairMatrices, PathConfig};
 use schema_summary_bench::synthetic::random_schema;
-use schema_summary_core::SchemaStats;
+use schema_summary_core::{ElementId, SchemaStats};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -35,17 +36,9 @@ struct DatasetRows {
     dataset: String,
     elements: usize,
     kernels: Vec<KernelRow>,
-    /// Batched layered (the shipping default) vs the re-measured
-    /// pre-overhaul algorithm.
-    speedup_layered_vs_dfs_unpruned: f64,
-    /// Batched layered vs single-source layered at the same thread count —
-    /// the isolated win of the multi-source frontier sweep.
+    /// The single-source loop vs the one-thread batched row — the
+    /// isolated win of the multi-source frontier sweep.
     speedup_batched_vs_single_source: f64,
-    /// `Auto` vs the fastest non-auto row. ~1 means the policy picked the
-    /// winning kernel (the auto row re-runs the chosen kernel, so the
-    /// ratio carries one extra run of host noise); materially above 1
-    /// means auto picked a loser on this dataset.
-    auto_over_best: f64,
 }
 
 #[derive(Serialize)]
@@ -55,113 +48,88 @@ struct Report {
     datasets: Vec<DatasetRows>,
 }
 
-/// One timed variant of the cold pass. `batch` of `None` runs the shipping
-/// entry point ([`PairMatrices::compute`]); `Some(b)` pins the driver batch
-/// size (1 = single-source handout, the pre-batching driver).
-fn time_kernel(
-    stats: &SchemaStats,
-    kernel: PathKernel,
-    prune: bool,
-    batch: Option<usize>,
-    name: &str,
-    reps: usize,
-) -> KernelRow {
+/// One timed cold pass; returns its expansion count and truncation flag.
+type Pass<'a> = &'a mut dyn FnMut() -> (u64, bool);
+
+/// Time every row: one untimed warm-up each, then `reps` rounds that run
+/// the rows back to back, keeping each row's minimum. Interleaving the
+/// rows exposes them to the same stretches of host noise.
+fn time_rows(reps: usize, rows: &mut [(&str, Pass)]) -> Vec<KernelRow> {
+    let mut out: Vec<KernelRow> = rows
+        .iter_mut()
+        .map(|(name, run)| {
+            let (expansions, truncated) = run();
+            KernelRow {
+                kernel: (*name).into(),
+                min_ms: f64::INFINITY,
+                expansions,
+                truncated,
+            }
+        })
+        .collect();
+    for _ in 0..reps {
+        for ((_, run), row) in rows.iter_mut().zip(&mut out) {
+            let start = Instant::now();
+            std::hint::black_box(run());
+            row.min_ms = row.min_ms.min(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    out
+}
+
+/// One source at a time through [`Explorer::explore`], writing the rows
+/// into dense affinity and coverage matrices as `PairMatrices` does.
+fn single_source_pass(stats: &SchemaStats, cfg: &PathConfig) -> (u64, bool) {
+    let n = stats.len();
+    let mut affinity = vec![0.0; n * n];
+    let mut coverage = vec![0.0; n * n];
+    let mut explorer = Explorer::new(n);
+    let (mut expansions, mut truncated) = (0, false);
+    for a in 0..n {
+        let res = explorer.explore(ElementId(a as u32), stats, cfg);
+        affinity[a * n..][..n].copy_from_slice(&res.best_affinity);
+        for (b, slot) in coverage[a * n..][..n].iter_mut().enumerate() {
+            *slot = stats.card(ElementId(b as u32)) * res.best_cov_product[b];
+        }
+        expansions += res.expansions;
+        truncated |= res.truncated;
+    }
+    std::hint::black_box((affinity, coverage));
+    (expansions, truncated)
+}
+
+fn measure(dataset: String, stats: &SchemaStats, quick: bool) -> DatasetRows {
+    // Sub-millisecond passes get enough repetitions for a stable minimum.
+    let reps = match (quick, stats.len() < 100) {
+        (true, _) => 1,
+        (false, true) => 400,
+        (false, false) => 9,
+    };
     let cfg = PathConfig {
-        kernel,
-        prune,
         max_expansions: 50_000_000,
         ..Default::default()
     };
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let run = || match batch {
-        None => PairMatrices::compute(stats, &cfg),
-        Some(b) => PairMatrices::compute_with_threads_batched(stats, &cfg, threads, b),
-    };
-    // Warm-up run, then min over the timed repetitions (noise-robust).
-    let m = run();
-    let mut min_ms = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        std::hint::black_box(run());
-        min_ms = min_ms.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    KernelRow {
-        kernel: name.into(),
-        min_ms,
-        expansions: m.expansions(),
-        truncated: m.truncated(),
-    }
-}
-
-fn measure(dataset: String, stats: &SchemaStats, dfs_too: bool, quick: bool) -> DatasetRows {
-    let reps = |full: usize| if quick { 1 } else { full };
-    let mut kernels = vec![
-        time_kernel(
-            stats,
-            PathKernel::Layered,
-            true,
-            Some(DEFAULT_SOURCE_BATCH),
-            "layered batched (default driver)",
-            reps(9),
-        ),
-        time_kernel(
-            stats,
-            PathKernel::Layered,
-            true,
-            Some(1),
-            "layered single-source",
-            reps(9),
-        ),
-        time_kernel(
-            stats,
-            PathKernel::Auto,
-            true,
-            None,
-            "auto (default; resolves per schema)",
-            reps(9),
-        ),
-    ];
-    if dfs_too {
-        kernels.push(time_kernel(
-            stats,
-            PathKernel::Dfs,
-            true,
-            None,
-            "dfs pruned",
-            reps(5),
-        ));
-        kernels.push(time_kernel(
-            stats,
-            PathKernel::Dfs,
-            false,
-            None,
-            "dfs unpruned (pre-overhaul algorithm)",
-            reps(5),
-        ));
-    }
-    let batched = kernels[0].min_ms;
-    let single = kernels[1].min_ms;
-    let auto = kernels[2].min_ms;
-    let unpruned = if dfs_too {
-        kernels.last().map_or(batched, |k| k.min_ms)
-    } else {
-        batched
-    };
-    let best_non_auto = kernels
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != 2)
-        .map(|(_, k)| k.min_ms)
-        .fold(f64::INFINITY, f64::min);
+    let summary = |m: PairMatrices| (m.expansions(), m.truncated());
+    let kernels = time_rows(
+        reps,
+        &mut [
+            (
+                "PairMatrices::compute (batched, default threads)",
+                &mut || summary(PairMatrices::compute(stats, &cfg)),
+            ),
+            ("compute_with_threads(1) (batched, one thread)", &mut || {
+                summary(PairMatrices::compute_with_threads(stats, &cfg, 1))
+            }),
+            ("Explorer::explore per source (one thread)", &mut || {
+                single_source_pass(stats, &cfg)
+            }),
+        ],
+    );
     DatasetRows {
         dataset,
         elements: stats.len(),
+        speedup_batched_vs_single_source: kernels[2].min_ms / kernels[1].min_ms,
         kernels,
-        speedup_layered_vs_dfs_unpruned: unpruned / batched,
-        speedup_batched_vs_single_source: single / batched,
-        auto_over_best: auto / best_non_auto,
     }
 }
 
@@ -170,27 +138,30 @@ fn main() {
     let mut datasets = Vec::new();
 
     let (g, s, _) = schema_summary_datasets::xmark::schema(1.0);
-    datasets.push(measure(format!("XMark SF 1.0 (n={})", g.len()), &s, true, quick));
+    datasets.push(measure(format!("XMark SF 1.0 (n={})", g.len()), &s, quick));
 
-    for (n, density) in [(100usize, 0.05), (500, 0.05), (2000, 0.05), (500, 0.20)] {
+    for (n, density) in [
+        (25usize, 0.05),
+        (47, 0.05),
+        (100, 0.05),
+        (500, 0.05),
+        (2000, 0.05),
+        (500, 0.20),
+    ] {
         let (_, s) = random_schema(n, density, 42);
-        // DFS enumeration on dense synthetic graphs is combinatorial; only
-        // run the comparison where it finishes in reasonable time.
-        let dfs_too = n <= 500 && density <= 0.05;
         datasets.push(measure(
             format!("synthetic n={n} density={density}"),
             &s,
-            dfs_too,
             quick,
         ));
     }
 
     let report = Report {
-        description: "Cold PairMatrices::compute wall time per kernel; \
-                      'dfs unpruned' re-measures the pre-overhaul algorithm; \
-                      'layered batched' is the shipping driver default"
+        description: "Cold PairMatrices::compute wall time: as shipped, the same on one \
+                      thread, and a one-thread single-source Explorer::explore loop (no \
+                      batching)"
             .into(),
-        config: "PathConfig::default() except kernel/prune (max_edges=10)".into(),
+        config: "PathConfig::default() except max_expansions=50000000 (max_edges=10)".into(),
         datasets,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");

@@ -459,8 +459,8 @@ impl SchemaStats {
 
     /// Whether element `e`'s CSR row carries bit-identical
     /// **exploration-relevant** record bits in `self` and `other`: the
-    /// edge-list shape, each edge's traversability (`rc > 0` — path
-    /// kernels never read the RC value itself), and the
+    /// edge-list shape, each edge's traversability (`rc > 0` — the path
+    /// kernel never reads the RC value itself), and the
     /// `rc_factor`/`w_back` bits that enter the path products.
     /// Cardinality bits are deliberately excluded — exploration reads
     /// them exactly once, after the trace, when the coverage row is
@@ -507,7 +507,7 @@ impl SchemaStats {
                 // through it and diverge.
                 return false;
             }
-            // An unmatched rc == 0 edge is invisible to every kernel.
+            // An unmatched rc == 0 edge is invisible to the path kernel.
         }
         i == an.len()
     }

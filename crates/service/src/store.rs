@@ -421,9 +421,6 @@ impl ArtifactStore {
             let Some(old_matrices) = artifacts.matrices_if_computed() else {
                 continue;
             };
-            if !old_matrices.has_source_meta() {
-                continue; // legacy-decoded matrices cannot be spliced
-            }
             let Some(plan) = plan_delta(
                 delta,
                 old_entry.graph(),
