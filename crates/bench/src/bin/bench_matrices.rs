@@ -10,15 +10,24 @@
 //! rows show scaling in element count and value-link density, down to the
 //! small sizes (n = 25 and 47) that DESIGN.md §3.19 quotes.
 //!
+//! XMark SF 1.0 and synthetic n = 2000 add a fourth row, the disk tier's
+//! reload of the same matrices: a fresh `SummaryService` over a store
+//! directory that already holds them, timed over its first
+//! `Artifacts::matrices()` call (read, checksum, decode). The file is
+//! re-read every repetition, so the page cache holds it (warm).
+//!
 //! Run with `cargo run --release -p schema-summary-bench --bin
 //! bench_matrices`. Pass `--quick` for a single-repetition smoke run (CI):
 //! same datasets and rows, no timing stability.
 
-use schema_summary_algo::{Explorer, PairMatrices, PathConfig};
+use schema_summary_algo::{Explorer, PairMatrices, PathConfig, SummarizerConfig};
 use schema_summary_bench::synthetic::random_schema;
-use schema_summary_core::{ElementId, SchemaStats};
+use schema_summary_core::{ElementId, SchemaGraph, SchemaStats};
+use schema_summary_service::{ServiceConfig, SummaryService};
 use serde::Serialize;
-use std::time::Instant;
+use std::path::PathBuf;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 #[derive(Serialize)]
 struct KernelRow {
@@ -39,6 +48,10 @@ struct DatasetRows {
     /// The single-source loop vs the one-thread batched row — the
     /// isolated win of the multi-source frontier sweep.
     speedup_batched_vs_single_source: f64,
+    /// The disk tier's reload vs the shipped compute (below 1: reloading
+    /// spilled matrices beats recomputing them); only where reload is
+    /// measured.
+    reload_over_compute: Option<f64>,
 }
 
 #[derive(Serialize)]
@@ -48,8 +61,20 @@ struct Report {
     datasets: Vec<DatasetRows>,
 }
 
-/// One timed cold pass; returns its expansion count and truncation flag.
-type Pass<'a> = &'a mut dyn FnMut() -> (u64, bool);
+/// One cold pass; returns the wall time of its timed section, its
+/// expansion count and truncation flag.
+type Pass<'a> = &'a mut dyn FnMut() -> (Duration, u64, bool);
+
+/// Time `pass`, which returns what it built with its expansion count and
+/// truncation flag. What it built is dropped after the clock stops: every
+/// row times producing the matrices, none times freeing them.
+fn timed<T>(pass: impl FnOnce() -> (T, u64, bool)) -> (Duration, u64, bool) {
+    let start = Instant::now();
+    let (built, expansions, truncated) = std::hint::black_box(pass());
+    let elapsed = start.elapsed();
+    drop(built);
+    (elapsed, expansions, truncated)
+}
 
 /// Time every row: one untimed warm-up each, then `reps` rounds that run
 /// the rows back to back, keeping each row's minimum. Interleaving the
@@ -58,7 +83,7 @@ fn time_rows(reps: usize, rows: &mut [(&str, Pass)]) -> Vec<KernelRow> {
     let mut out: Vec<KernelRow> = rows
         .iter_mut()
         .map(|(name, run)| {
-            let (expansions, truncated) = run();
+            let (_, expansions, truncated) = run();
             KernelRow {
                 kernel: (*name).into(),
                 min_ms: f64::INFINITY,
@@ -69,17 +94,74 @@ fn time_rows(reps: usize, rows: &mut [(&str, Pass)]) -> Vec<KernelRow> {
         .collect();
     for _ in 0..reps {
         for ((_, run), row) in rows.iter_mut().zip(&mut out) {
-            let start = Instant::now();
-            std::hint::black_box(run());
-            row.min_ms = row.min_ms.min(start.elapsed().as_secs_f64() * 1e3);
+            let (elapsed, _, _) = run();
+            row.min_ms = row.min_ms.min(elapsed.as_secs_f64() * 1e3);
         }
     }
     out
 }
 
+/// A store directory holding one schema's spilled matrices, and the
+/// service configuration that reads it back.
+struct SpilledStore {
+    dir: PathBuf,
+    config: ServiceConfig,
+}
+
+impl SpilledStore {
+    /// Compute the schema's matrices under `paths` in a service over a
+    /// fresh directory, and wait for the spill.
+    fn new(graph: &Arc<SchemaGraph>, stats: &Arc<SchemaStats>, paths: &PathConfig) -> Self {
+        let dir = std::env::temp_dir().join(format!(
+            "schema-summary-bench-reload-{}-{}",
+            std::process::id(),
+            stats.len()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServiceConfig {
+            store_dir: Some(dir.clone()),
+            summarizer: SummarizerConfig {
+                paths: paths.clone(),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let service = SummaryService::new(config.clone());
+        let fp = service.register(Arc::clone(graph), Arc::clone(stats));
+        let entry = service.catalog().get(fp).expect("just registered");
+        entry.artifacts(&config.summarizer).matrices();
+        service.flush_store();
+        assert_eq!(service.cache_stats().disk_writes, 1, "matrices spilled");
+        SpilledStore { dir, config }
+    }
+
+    /// A fresh service's first `matrices()` call: read, verify, decode.
+    /// Service start-up and tear-down, which frees the matrices, stay
+    /// outside the timed section.
+    fn reload(&self, graph: &Arc<SchemaGraph>, stats: &Arc<SchemaStats>) -> (Duration, u64, bool) {
+        let service = SummaryService::new(self.config.clone());
+        let fp = service.register(Arc::clone(graph), Arc::clone(stats));
+        let entry = service.catalog().get(fp).expect("just registered");
+        let artifacts = entry.artifacts(&self.config.summarizer);
+        let start = Instant::now();
+        let matrices = std::hint::black_box(artifacts.matrices());
+        let elapsed = start.elapsed();
+        let counts = service.cache_stats();
+        assert_eq!(counts.matrices_rehydrated, 1, "reload row must rehydrate");
+        assert_eq!(counts.matrices_computed, 0, "reload row must not compute");
+        (elapsed, matrices.expansions(), matrices.truncated())
+    }
+}
+
+impl Drop for SpilledStore {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
 /// One source at a time through [`Explorer::explore`], writing the rows
 /// into dense affinity and coverage matrices as `PairMatrices` does.
-fn single_source_pass(stats: &SchemaStats, cfg: &PathConfig) -> (u64, bool) {
+fn single_source_pass(stats: &SchemaStats, cfg: &PathConfig) -> ((Vec<f64>, Vec<f64>), u64, bool) {
     let n = stats.len();
     let mut affinity = vec![0.0; n * n];
     let mut coverage = vec![0.0; n * n];
@@ -94,11 +176,18 @@ fn single_source_pass(stats: &SchemaStats, cfg: &PathConfig) -> (u64, bool) {
         expansions += res.expansions;
         truncated |= res.truncated;
     }
-    std::hint::black_box((affinity, coverage));
-    (expansions, truncated)
+    ((affinity, coverage), expansions, truncated)
 }
 
-fn measure(dataset: String, stats: &SchemaStats, quick: bool) -> DatasetRows {
+const RELOAD_ROW: &str = "disk tier reload (read + verify + decode)";
+
+fn measure(
+    dataset: String,
+    graph: SchemaGraph,
+    stats: SchemaStats,
+    quick: bool,
+    with_reload: bool,
+) -> DatasetRows {
     // Sub-millisecond passes get enough repetitions for a stable minimum.
     let reps = match (quick, stats.len() < 100) {
         (true, _) => 1,
@@ -109,26 +198,43 @@ fn measure(dataset: String, stats: &SchemaStats, quick: bool) -> DatasetRows {
         max_expansions: 50_000_000,
         ..Default::default()
     };
-    let summary = |m: PairMatrices| (m.expansions(), m.truncated());
-    let kernels = time_rows(
-        reps,
-        &mut [
-            (
-                "PairMatrices::compute (batched, default threads)",
-                &mut || summary(PairMatrices::compute(stats, &cfg)),
-            ),
-            ("compute_with_threads(1) (batched, one thread)", &mut || {
-                summary(PairMatrices::compute_with_threads(stats, &cfg, 1))
-            }),
-            ("Explorer::explore per source (one thread)", &mut || {
-                single_source_pass(stats, &cfg)
-            }),
-        ],
-    );
+    let (graph, stats) = (Arc::new(graph), Arc::new(stats));
+    let summary = |m: PairMatrices| {
+        let (expansions, truncated) = (m.expansions(), m.truncated());
+        (m, expansions, truncated)
+    };
+    let mut compute = || timed(|| summary(PairMatrices::compute(&stats, &cfg)));
+    let mut one_thread = || timed(|| summary(PairMatrices::compute_with_threads(&stats, &cfg, 1)));
+    let mut single_source = || timed(|| single_source_pass(&stats, &cfg));
+    let mut rows: Vec<(&str, Pass)> = vec![
+        (
+            "PairMatrices::compute (batched, default threads)",
+            &mut compute,
+        ),
+        (
+            "compute_with_threads(1) (batched, one thread)",
+            &mut one_thread,
+        ),
+        (
+            "Explorer::explore per source (one thread)",
+            &mut single_source,
+        ),
+    ];
+    let store = with_reload.then(|| SpilledStore::new(&graph, &stats, &cfg));
+    let mut reload = store.as_ref().map(|store| || store.reload(&graph, &stats));
+    if let Some(reload) = &mut reload {
+        rows.push((RELOAD_ROW, reload));
+    }
+    let kernels = time_rows(reps, &mut rows);
+    let reload_over_compute = kernels
+        .iter()
+        .find(|row| row.kernel == RELOAD_ROW)
+        .map(|row| row.min_ms / kernels[0].min_ms);
     DatasetRows {
         dataset,
         elements: stats.len(),
         speedup_batched_vs_single_source: kernels[2].min_ms / kernels[1].min_ms,
+        reload_over_compute,
         kernels,
     }
 }
@@ -138,7 +244,13 @@ fn main() {
     let mut datasets = Vec::new();
 
     let (g, s, _) = schema_summary_datasets::xmark::schema(1.0);
-    datasets.push(measure(format!("XMark SF 1.0 (n={})", g.len()), &s, quick));
+    datasets.push(measure(
+        format!("XMark SF 1.0 (n={})", g.len()),
+        g,
+        s,
+        quick,
+        true,
+    ));
 
     for (n, density) in [
         (25usize, 0.05),
@@ -148,18 +260,21 @@ fn main() {
         (2000, 0.05),
         (500, 0.20),
     ] {
-        let (_, s) = random_schema(n, density, 42);
+        let (g, s) = random_schema(n, density, 42);
         datasets.push(measure(
             format!("synthetic n={n} density={density}"),
-            &s,
+            g,
+            s,
             quick,
+            n == 2000,
         ));
     }
 
     let report = Report {
         description: "Cold PairMatrices::compute wall time: as shipped, the same on one \
                       thread, and a one-thread single-source Explorer::explore loop (no \
-                      batching)"
+                      batching); for XMark SF 1.0 and synthetic n=2000 also the disk \
+                      tier's reload of the spilled matrices (page cache warm)"
             .into(),
         config: "PathConfig::default() except max_expansions=50000000 (max_edges=10)".into(),
         datasets,

@@ -18,7 +18,7 @@
 //! form and rehydrated on the next process's first request instead of
 //! recomputed. [`SchemaCatalog::compute_counters`] tells the two apart.
 
-use crate::disk::{DiskTier, KIND_MATRICES};
+use crate::disk::{DiskTier, SpillSource, KIND_MATRICES};
 use schema_summary_algo::importance::{compute_importance, compute_importance_rebased};
 use schema_summary_algo::{DominanceSet, ImportanceResult, PairMatrices, SummarizerConfig};
 use schema_summary_core::{SchemaFingerprint, SchemaGraph, SchemaStats};
@@ -68,7 +68,7 @@ impl ComputeCounters {
 
 /// Canonical disk-tier key-meta for one schema's matrices under one
 /// configuration.
-fn matrices_meta(fingerprint: SchemaFingerprint, config: &SummarizerConfig) -> String {
+pub(crate) fn matrices_meta(fingerprint: SchemaFingerprint, config: &SummarizerConfig) -> String {
     let options = serde_json::to_string(config).expect("config serializes");
     format!("mat|{}|{options}", fingerprint.to_hex())
 }
@@ -224,25 +224,27 @@ impl Artifacts {
 
     /// All-pairs affinity/coverage matrices (Formulas 2–3), obtained on
     /// first use: rehydrated bit-exactly from the disk tier when a
-    /// previous process spilled them there, computed (and spilled)
-    /// otherwise. The recomputation cost is recorded for
+    /// previous process spilled them there, computed otherwise (and
+    /// queued for the tier's spiller, which writes them off the request
+    /// path). The recomputation cost is recorded for
     /// [`Artifacts::matrices_cost_micros`] either way.
     pub fn matrices(&self) -> &PairMatrices {
         self.matrices.get_or_init(|| {
             if let Some(disk) = &self.disk {
                 let meta = matrices_meta(self.fingerprint, &self.config);
-                if let Some((payload, cost)) = disk.load(self.fingerprint, KIND_MATRICES, &meta) {
-                    if let Some(matrices) = PairMatrices::from_bytes(&payload) {
-                        self.counters
-                            .matrices_rehydrated
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.matrices_micros.store(cost.max(1), Ordering::Relaxed);
-                        return Arc::new(matrices);
-                    }
-                    eprintln!(
-                        "warning: schema-summary store: matrices payload for {} did not decode; recomputing",
-                        self.fingerprint
-                    );
+                // A payload that does not decode is discarded as corrupt
+                // by the tier and recomputed below.
+                if let Some((matrices, cost)) = disk.load(
+                    self.fingerprint,
+                    KIND_MATRICES,
+                    &meta,
+                    PairMatrices::from_bytes,
+                ) {
+                    self.counters
+                        .matrices_rehydrated
+                        .fetch_add(1, Ordering::Relaxed);
+                    self.matrices_micros.store(cost.max(1), Ordering::Relaxed);
+                    return Arc::new(matrices);
                 }
             }
             let start = Instant::now();
@@ -252,18 +254,22 @@ impl Artifacts {
             self.counters
                 .matrices_computed
                 .fetch_add(1, Ordering::Relaxed);
-            if let Some(disk) = &self.disk {
-                let meta = matrices_meta(self.fingerprint, &self.config);
-                disk.store(
-                    self.fingerprint,
-                    KIND_MATRICES,
-                    &meta,
-                    micros,
-                    &matrices.to_bytes(),
-                );
-            }
+            self.spill(&matrices, micros);
             matrices
         })
+    }
+
+    /// Queue `matrices` for the disk tier, if there is one.
+    fn spill(&self, matrices: &Arc<PairMatrices>, micros: u64) {
+        if let Some(disk) = &self.disk {
+            disk.spill(
+                self.fingerprint,
+                KIND_MATRICES,
+                matrices_meta(self.fingerprint, &self.config),
+                micros,
+                SpillSource::Matrices(Arc::clone(matrices)),
+            );
+        }
     }
 
     /// Wall time (microseconds, ≥ 1) the all-pairs matrices took to
@@ -281,7 +287,7 @@ impl Artifacts {
 
     /// Adopt matrices derived outside this holder — the delta-refresh
     /// splice — as this `(fingerprint, config)`'s memoized matrices,
-    /// spilling them to the disk tier like a computed set. `cost_micros`
+    /// queueing them for the disk tier like a computed set. `cost_micros`
     /// is the recomputation cost the cache tiers should weigh (a spliced
     /// set would cost a full cold compute to rebuild, so callers pass the
     /// old set's cost forward). Returns `false` when the matrices were
@@ -296,16 +302,7 @@ impl Artifacts {
         if seeded {
             let micros = cost_micros.max(1);
             self.matrices_micros.store(micros, Ordering::Relaxed);
-            if let Some(disk) = &self.disk {
-                let meta = matrices_meta(self.fingerprint, &self.config);
-                disk.store(
-                    self.fingerprint,
-                    KIND_MATRICES,
-                    &meta,
-                    micros,
-                    &matrices.to_bytes(),
-                );
-            }
+            self.spill(&matrices, micros);
         }
         seeded
     }
@@ -634,6 +631,7 @@ mod tests {
         let computed = entry.artifacts(&cfg);
         let reference = computed.matrices().clone();
         assert_eq!(first.compute_counters().matrices_computed(), 1);
+        disk.flush();
         assert!(disk.writes() >= 1);
 
         // A fresh catalog on the same directory rehydrates, not recomputes.

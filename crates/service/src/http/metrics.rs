@@ -240,6 +240,13 @@ pub(crate) fn render(cache: &CacheStats, catalog: &CatalogStats, http: &HttpServ
         "Spilled artifacts evicted to enforce the disk byte quota.",
         cache.quota_evictions,
     );
+    family(
+        &mut out,
+        "schema_summary_store_spills_dropped_total",
+        "counter",
+        "Disk-tier spills dropped because the spiller's queue was full.",
+        cache.disk_spills_dropped,
+    );
 
     // Shard occupancy.
     sharded(

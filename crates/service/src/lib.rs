@@ -19,8 +19,9 @@
 //!   LRU result cache keyed by `(fingerprint, shape, options)` — where a
 //!   shape is a flat size `k` or a multi-level size stack — plus an
 //!   optional disk tier ([`ServiceConfig::store_dir`]) that spills
-//!   serialized matrices and results and rehydrates them across restarts,
-//!   tolerating corrupt files by recomputing;
+//!   serialized matrices and results from a background thread and
+//!   rehydrates them across restarts, tolerating corrupt files by
+//!   recomputing;
 //! * multi-level summaries are first-class requests: `levels` builds and
 //!   caches a whole drill-down stack once, and `expand` opens one group a
 //!   level down by walking the cached stack — a warm expand never

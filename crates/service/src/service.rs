@@ -33,7 +33,8 @@ pub struct ServiceConfig {
     /// Number of independent schema-catalog shards (locks).
     pub catalog_shards: usize,
     /// Directory for the persistent artifact tier. When set, computed
-    /// matrices and results are spilled there and rehydrated on restart;
+    /// matrices and results are spilled there by a background thread
+    /// (see [`SummaryService::flush_store`]) and rehydrated on restart;
     /// when `None` the store is memory-only.
     pub store_dir: Option<PathBuf>,
     /// Byte quota for the persistent tier. When set, spilling past it
@@ -301,6 +302,9 @@ pub struct CacheStats {
     pub disk_bytes: u64,
     /// Spilled artifacts evicted to keep the store under its byte quota.
     pub quota_evictions: u64,
+    /// Spills dropped instead of queued: the spiller's queue was full
+    /// (or the spiller gone). The artifact stays memory-only.
+    pub disk_spills_dropped: u64,
     /// Cached results dropped through the admin evict API (counted in
     /// neither `evictions` nor `invalidations`).
     pub admin_evictions: u64,
@@ -1079,18 +1083,30 @@ impl SummaryService {
         Ok(delta)
     }
 
+    /// Wait until every disk-tier write and purge queued before this call
+    /// has run, so its files are visible in the store directory (not
+    /// fsynced). Spills are asynchronous: read the disk counters or the
+    /// directory after this. A no-op without a store directory.
+    pub fn flush_store(&self) {
+        if let Some(disk) = self.store.disk() {
+            disk.flush();
+        }
+    }
+
     /// Current cache statistics.
     pub fn cache_stats(&self) -> CacheStats {
         let counters = self.store.catalog().compute_counters();
-        let (disk_writes, disk_corrupt, disk_bytes, quota_evictions) = match self.store.disk() {
-            Some(disk) => (
-                disk.writes(),
-                disk.corrupt(),
-                disk.bytes_on_disk(),
-                disk.quota_evictions(),
-            ),
-            None => (0, 0, 0, 0),
-        };
+        let (disk_writes, disk_corrupt, disk_bytes, quota_evictions, disk_spills_dropped) =
+            match self.store.disk() {
+                Some(disk) => (
+                    disk.writes(),
+                    disk.corrupt(),
+                    disk.bytes_on_disk(),
+                    disk.quota_evictions(),
+                    disk.spills_dropped(),
+                ),
+                None => (0, 0, 0, 0, 0),
+            };
         CacheStats {
             hits: self.store.hits(),
             misses: self.store.misses(),
@@ -1108,6 +1124,7 @@ impl SummaryService {
             disk_corrupt,
             disk_bytes,
             quota_evictions,
+            disk_spills_dropped,
             admin_evictions: self.store.admin_evictions(),
             delta_refreshes: self.store.delta_refreshes(),
             delta_rows_recomputed: self.store.delta_rows_recomputed(),
@@ -1900,5 +1917,91 @@ mod tests {
         assert_eq!(stats.catalog_shard_entries.iter().sum::<usize>(), 1);
         assert_eq!(stats.result_shard_entries.len(), 2);
         assert_eq!(stats.result_shard_entries.iter().sum::<usize>(), 1);
+    }
+
+    /// A spilled envelope whose checksum holds but whose payload does not
+    /// decode is counted as corrupt and deleted, and the request is
+    /// answered cold: once under a real result key, once under a real
+    /// matrices key.
+    #[test]
+    fn undecodable_spilled_payloads_count_as_corrupt() {
+        use crate::catalog::matrices_meta;
+        use crate::disk::{SpillSource, KIND_MATRICES};
+
+        let (graph, stats, _) = schema_summary_datasets::xmark::schema(0.25);
+        let (graph, stats) = (Arc::new(graph), Arc::new(stats));
+        let reference = SummaryService::default();
+        let fp = reference.register(Arc::clone(&graph), Arc::clone(&stats));
+        let dir =
+            std::env::temp_dir().join(format!("schema-summary-undecodable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            let service = SummaryService::new(ServiceConfig {
+                store_dir: Some(dir.clone()),
+                ..Default::default()
+            });
+            service.register(Arc::clone(&graph), Arc::clone(&stats));
+            service
+        };
+        let plant = |service: &SummaryService, kind: u8, meta: String, payload: &[u8]| {
+            let disk = service.store.disk().expect("store dir configured");
+            disk.spill(fp, kind, meta, 1, SpillSource::Bytes(payload.to_vec()));
+            service.flush_store();
+        };
+        let config = SummarizerConfig::default();
+
+        // A result file that is not JSON.
+        let first = open();
+        let key = ResultKey {
+            fingerprint: fp,
+            shape: ResultShape::Flat {
+                algorithm: Algorithm::Balance,
+                k: 8,
+            },
+            options: config.clone(),
+        };
+        plant(&first, key.kind(), key.meta(), b"{\"not\": \"a summary\"");
+        let served = first.summarize(fp, Algorithm::Balance, 8).unwrap();
+        assert!(!served.from_cache);
+        let cold = reference.summarize(fp, Algorithm::Balance, 8).unwrap();
+        assert_eq!(*served.result, *cold.result);
+        let after = first.cache_stats();
+        assert_eq!(
+            (after.disk_corrupt, after.disk_hits, after.misses),
+            (1, 0, 1)
+        );
+        drop(first);
+
+        // A matrices file that is not a matrices encoding.
+        let second = open();
+        plant(
+            &second,
+            KIND_MATRICES,
+            matrices_meta(fp, &config),
+            &[7u8; 64],
+        );
+        let served = second.summarize(fp, Algorithm::Balance, 6).unwrap();
+        assert!(!served.from_cache);
+        let cold = reference.summarize(fp, Algorithm::Balance, 6).unwrap();
+        assert_eq!(*served.result, *cold.result);
+        let after = second.cache_stats();
+        assert_eq!(after.disk_corrupt, 1);
+        assert_eq!((after.matrices_computed, after.matrices_rehydrated), (1, 0));
+        drop(second);
+
+        // Both files were replaced by good spills of the recomputation.
+        let third = open();
+        assert!(
+            third
+                .summarize(fp, Algorithm::Balance, 8)
+                .unwrap()
+                .from_cache
+        );
+        assert!(third.summarize(fp, Algorithm::Balance, 4).is_ok());
+        let after = third.cache_stats();
+        assert_eq!(after.disk_corrupt, 0);
+        assert_eq!((after.matrices_computed, after.matrices_rehydrated), (0, 1));
+        drop(third);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -17,7 +17,7 @@
 //! Invalidation drops a fingerprint from all three tiers at once.
 
 use crate::catalog::SchemaCatalog;
-use crate::disk::{DiskTier, KIND_FLAT, KIND_MULTILEVEL};
+use crate::disk::{DiskTier, SpillSource, KIND_FLAT, KIND_MULTILEVEL};
 use crate::lru::ShardedLru;
 use crate::service::{MultiLevelArtifact, ServiceError, SummaryResult};
 use schema_summary_algo::{plan_delta, Algorithm, SummarizerConfig};
@@ -93,13 +93,14 @@ pub(crate) enum CachedArtifact {
 }
 
 impl CachedArtifact {
-    fn to_payload(&self) -> Vec<u8> {
+    /// The disk tier's JSON payload, encoded on the spiller thread.
+    pub(crate) fn to_payload(&self) -> Option<Vec<u8>> {
         match self {
             CachedArtifact::Flat(result) => serde_json::to_string(result.as_ref()),
             CachedArtifact::MultiLevel(artifact) => serde_json::to_string(artifact.as_ref()),
         }
-        .expect("artifact serializes")
-        .into_bytes()
+        .ok()
+        .map(String::into_bytes)
     }
 
     fn from_payload(kind: u8, payload: &[u8]) -> Option<Self> {
@@ -297,24 +298,21 @@ impl ArtifactStore {
                     result: None,
                 };
                 // Disk before compute: a rehydrated artifact keeps its
-                // original recomputation cost for the eviction policy.
-                if let Some(disk) = &self.disk {
-                    if let Some((payload, cost)) =
-                        disk.load(key.fingerprint, key.kind(), &key.meta())
+                // original recomputation cost for the eviction policy. A
+                // payload that does not decode is discarded as corrupt by
+                // the tier and recomputed below.
+                let kind = key.kind();
+                let tier = self.disk.as_ref().map(|disk| (disk, key.meta()));
+                if let Some((disk, meta)) = &tier {
+                    if let Some((artifact, cost)) =
+                        disk.load(key.fingerprint, kind, meta, |payload| {
+                            CachedArtifact::from_payload(kind, payload)
+                        })
                     {
-                        if let Some(artifact) = CachedArtifact::from_payload(key.kind(), &payload) {
-                            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                            self.insert(key, artifact.clone(), cost.max(1));
-                            publisher.result = Some(artifact.clone());
-                            return Ok((artifact, true));
-                        }
-                        // Envelope was valid but the payload did not
-                        // decode: treat as corruption and fall through to
-                        // compute (the overwrite below repairs the file).
-                        eprintln!(
-                            "warning: schema-summary store: artifact payload for key {} did not decode; recomputing",
-                            key.meta()
-                        );
+                        self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                        self.insert(key, artifact.clone(), cost.max(1));
+                        publisher.result = Some(artifact.clone());
+                        return Ok((artifact, true));
                     }
                 }
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -325,13 +323,13 @@ impl ArtifactStore {
                 // victims for the wrong reason: "free", not "cheap").
                 let cost = (started.elapsed().as_micros() as u64).max(1);
                 self.compute_micros.fetch_add(cost, Ordering::Relaxed);
-                if let Some(disk) = &self.disk {
-                    disk.store(
+                if let Some((disk, meta)) = tier {
+                    disk.spill(
                         key.fingerprint,
-                        key.kind(),
-                        &key.meta(),
+                        kind,
+                        meta,
                         cost,
-                        &artifact.to_payload(),
+                        SpillSource::Result(artifact.clone()),
                     );
                 }
                 self.insert(key, artifact.clone(), cost);

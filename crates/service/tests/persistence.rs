@@ -60,6 +60,7 @@ proptest! {
         let fp = first.register(Arc::clone(&graph), Arc::clone(&stats));
         let cold = first.summarize(fp, algorithm, k).unwrap();
         prop_assert!(!cold.from_cache);
+        first.flush_store();
         prop_assert!(first.cache_stats().disk_writes >= 1);
         drop(first);
 
@@ -182,6 +183,7 @@ fn invalidation_purges_the_disk_tier() {
     service
         .multi_level(fp, Algorithm::Balance, &[6, 3])
         .unwrap();
+    service.flush_store();
     let before = service.cache_stats();
     assert!(before.disk_bytes > 0, "artifacts must have spilled");
     assert!(before.disk_writes >= 3, "matrices + two results spill");
@@ -195,6 +197,7 @@ fn invalidation_purges_the_disk_tier() {
         .unwrap();
     assert!(!delta.is_empty());
 
+    service.flush_store();
     let after = service.cache_stats();
     assert_eq!(after.entries, 0, "in-memory results must be gone");
     assert!(

@@ -570,6 +570,9 @@ fn serve(opts: &HashMap<String, String>) -> Result<(), String> {
         }
     }
 
+    // Spills run on a background thread: wait for them so `written`
+    // counts everything this run spilled.
+    service.flush_store();
     let cache = service.cache_stats();
     println!(
         "\n{served} served, {failed} failed; cache: {} hits, {} misses ({:.0}% hit rate), {} evictions, {} entries",
