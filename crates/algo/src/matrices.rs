@@ -9,21 +9,22 @@
 //!
 //! One loop builds every matrix. It hands sources out in batches of
 //! [`DEFAULT_SOURCE_BATCH`], taken in BFS locality order, and each batch
-//! advances through one [`Explorer::explore_batch`] frontier sweep per
+//! advances through one [`Explorer::explore_batch`] frontier pass per
 //! layer, streaming the CSR edge lanes once per layer for the whole batch
-//! rather than once per source. Per-source explorations are independent,
-//! so on more than one thread the batches are handed out through a shared
-//! atomic counter (work stealing) rather than static chunks: exploration
-//! cost varies wildly per source — a source inside a densely value-linked
-//! region can cost orders of magnitude more than a leaf — and static
-//! chunking strands every other worker behind the unluckiest chunk.
-//! Workers send finished rows over a channel and the calling thread
-//! assembles the matrices, keeping the crate free of `unsafe` row aliasing.
+//! rather than once per source. The kernel writes each source's results
+//! straight into its rows: the matrices are split once into disjoint
+//! per-row slices (`chunks_exact_mut`), so the crate needs no `unsafe` row
+//! aliasing and no result is copied twice. Per-source explorations are
+//! independent, so on more than one thread the batches are handed out
+//! from a shared queue (work stealing) rather than in static chunks:
+//! exploration cost varies wildly per source — a source inside a densely
+//! value-linked region can cost orders of magnitude more than a leaf —
+//! and static chunking strands every other worker behind the unluckiest
+//! chunk. The calling thread works as one of the workers.
 
-use crate::paths::{Explorer, PathConfig, SourceResult};
+use crate::paths::{Explorer, PathConfig, SourceRow};
 use schema_summary_core::{ElementId, SchemaStats};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{Mutex, OnceLock};
 
 /// Sources per work-stealing handout. The batched kernel's win scales with
 /// *lane density* — how many of a batch's sources have overlapping
@@ -36,6 +37,14 @@ pub const DEFAULT_SOURCE_BATCH: usize = 16;
 /// Below this many elements [`PairMatrices::compute`] runs on the calling
 /// thread: thread spawn overhead outweighs the per-source work.
 const PARALLEL_THRESHOLD: usize = 64;
+
+/// The CPUs this process may use, read once: the query reads cgroup
+/// files, which costs more than a small schema's whole pass.
+fn cpu_count() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+}
 
 /// Source handout order for batched computes: breadth-first from each
 /// unvisited node over traversable edges. Sources batched together should
@@ -130,7 +139,7 @@ impl PairMatrices {
         let threads = if stats.len() < PARALLEL_THRESHOLD {
             1
         } else {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            cpu_count()
         };
         Self::compute_with_threads(stats, config, threads)
     }
@@ -157,12 +166,14 @@ impl PairMatrices {
     }
 
     /// The one row loop: explore `sources` in handouts of
-    /// [`DEFAULT_SOURCE_BATCH`] through [`Explorer::explore_batch`] and
-    /// write each result into its source's row. `threads ≤ 1` runs inline;
-    /// otherwise scoped workers steal handouts from a shared counter. Rows
-    /// are disjoint and the run-wide folds (`|=` flag, `u64` sum) are
-    /// order-independent, so neither the thread count nor the order of
-    /// `sources` changes any bit.
+    /// [`DEFAULT_SOURCE_BATCH`] through [`Explorer::explore_batch`], which
+    /// writes each source's results straight into its (zeroed) rows, then
+    /// fold the run-wide flag and count over every row. The rows are split
+    /// once into disjoint slices, and the calling thread and up to
+    /// `threads - 1` scoped helpers take handouts from a shared queue
+    /// (`threads ≤ 1` runs on the calling thread alone). Rows are disjoint and the run-wide folds (`any`, `u64`
+    /// sum) are order-independent, so neither the thread count nor the
+    /// order of `sources` changes any bit.
     fn explore_rows(
         &mut self,
         sources: &[ElementId],
@@ -170,66 +181,55 @@ impl PairMatrices {
         config: &PathConfig,
         threads: usize,
     ) {
-        let n = stats.len();
-        if threads <= 1 {
-            let mut explorer = Explorer::new(n);
-            for chunk in sources.chunks(DEFAULT_SOURCE_BATCH) {
-                let results = explorer.explore_batch(chunk, stats, config);
-                for (src, res) in chunk.iter().zip(&results) {
-                    self.write_source_row(src.index(), res, stats);
-                }
-            }
-            return;
-        }
-        let handouts = sources.len().div_ceil(DEFAULT_SOURCE_BATCH);
-        let next_handout = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Vec<SourceResult>)>();
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(handouts) {
-                let tx = tx.clone();
-                let next_handout = &next_handout;
-                scope.spawn(move || {
-                    let mut explorer = Explorer::new(n);
-                    loop {
-                        let start = next_handout.fetch_add(DEFAULT_SOURCE_BATCH, Ordering::Relaxed);
-                        if start >= sources.len() {
-                            break;
-                        }
-                        let end = (start + DEFAULT_SOURCE_BATCH).min(sources.len());
-                        let results = explorer.explore_batch(&sources[start..end], stats, config);
-                        if tx.send((start, results)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            while let Ok((start, results)) = rx.recv() {
-                for (src, res) in sources[start..].iter().zip(&results) {
-                    self.write_source_row(src.index(), res, stats);
-                }
-            }
-        });
-    }
-
-    /// Fold one exploration result into row `a` of both matrices, the
-    /// per-source metadata, and the run-wide flag and count.
-    fn write_source_row(&mut self, a: usize, res: &SourceResult, stats: &SchemaStats) {
         let n = self.n;
-        let row = a * n;
-        self.affinity[row..row + n].copy_from_slice(&res.best_affinity);
-        for b in 0..n {
-            // Formula 3: C(a→b) = Card_b · max path product; the special
-            // case C(a→a) = Card_a falls out since the product is 1.
-            self.coverage[row + b] = stats.card(ElementId(b as u32)) * res.best_cov_product[b];
-        }
-        self.truncated |= res.truncated;
-        self.expansions += res.expansions;
         let meta = &mut self.per_source;
-        meta.truncated[a] = res.truncated;
-        meta.expansions[a] = res.expansions;
-        meta.visited[a] = res.reads.clone();
-        meta.cov_product[row..row + n].copy_from_slice(&res.best_cov_product);
+        if !sources.is_empty() {
+            let mut slots: Vec<_> = self
+                .affinity
+                .chunks_exact_mut(n)
+                .zip(self.coverage.chunks_exact_mut(n))
+                .zip(meta.cov_product.chunks_exact_mut(n))
+                .map(Some)
+                .collect();
+            let mut rows: Vec<SourceRow> = sources
+                .iter()
+                .map(|&source| {
+                    let ((affinity, coverage), cov_product) = slots[source.index()]
+                        .take()
+                        .expect("each source is explored once");
+                    SourceRow::new(source, affinity, coverage, cov_product)
+                })
+                .collect();
+            let handouts = Mutex::new(rows.chunks_mut(DEFAULT_SOURCE_BATCH));
+            let work = || {
+                let mut explorer = Explorer::new(n);
+                loop {
+                    // Hold the lock only to take a handout.
+                    let batch = handouts
+                        .lock()
+                        .expect("no thread panics while taking a handout")
+                        .next();
+                    let Some(batch) = batch else { break };
+                    explorer.explore_batch(batch, stats, config);
+                }
+            };
+            // The calling thread works too, so `threads ≤ 1` spawns nothing.
+            let workers = threads.min(sources.len().div_ceil(DEFAULT_SOURCE_BATCH));
+            std::thread::scope(|scope| {
+                for _ in 1..workers {
+                    scope.spawn(work);
+                }
+                work();
+            });
+            for row in rows {
+                let a = row.source.index();
+                meta.truncated[a] = row.truncated;
+                meta.expansions[a] = row.expansions;
+                meta.visited[a] = row.reads;
+            }
+        }
+        self.truncated = meta.truncated.iter().any(|&t| t);
+        self.expansions = meta.expansions.iter().sum();
     }
 
     /// Derive the matrices of a *changed* statistics annotation by
@@ -239,8 +239,8 @@ impl PairMatrices {
     /// cardinalities, so an un-marked row's trace — and its products — are
     /// bit-identical under the new stats), while the coverage row is
     /// rewritten from the stored path products as `Card(b) · product`,
-    /// the exact multiply [`write_source_row`](Self::write_source_row)
-    /// performs. A cardinality-only delta therefore splices with *zero*
+    /// the exact multiply the batched kernel performs when it writes a
+    /// row. A cardinality-only delta therefore splices with *zero*
     /// re-exploration, at one multiply per matrix cell.
     ///
     /// The caller is responsible for the soundness of `recompute` (see
@@ -279,10 +279,10 @@ impl PairMatrices {
         }
         let per = &self.per_source;
         let mut out = Self::zeroed(n);
-        // Carried-over rows first, then the re-explored rows: rows are
-        // disjoint and the run-wide folds are order-independent, so the
-        // two-pass order changes no bits. Only old rows (`a < n_old`) can
-        // be unmarked, checked above.
+        // Carried-over rows first, then the re-explored rows, then the
+        // run-wide fold over both: rows are disjoint and the fold is
+        // order-independent, so the two-pass order changes no bits. Only
+        // old rows (`a < n_old`) can be unmarked, checked above.
         for (a, &redo) in recompute.iter().enumerate() {
             if !redo {
                 let src = a * n_old;
@@ -297,8 +297,6 @@ impl PairMatrices {
                 for (b, product) in products.iter().enumerate() {
                     out.coverage[dst + b] = stats.card(ElementId(b as u32)) * product;
                 }
-                out.truncated |= per.truncated[a];
-                out.expansions += per.expansions[a];
                 let meta = &mut out.per_source;
                 meta.truncated[a] = per.truncated[a];
                 meta.expansions[a] = per.expansions[a];

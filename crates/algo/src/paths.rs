@@ -26,9 +26,11 @@
 //! products are relaxed rather than derived from one another.
 //!
 //! [`Explorer::explore_batch`] advances up to [`MAX_BATCH_LANES`] sources
-//! per frontier sweep and is what [`PairMatrices`](crate::PairMatrices)
-//! runs; [`Explorer::explore`] is the single-source form it falls back to
-//! for the one order-dependent case, a budget exhausted mid-layer.
+//! per frontier pass, writes their results straight into the caller's
+//! matrix rows ([`SourceRow`]), and is what
+//! [`PairMatrices`](crate::PairMatrices) runs; [`Explorer::explore`] is the
+//! single-source form it falls back to for the one order-dependent case, a
+//! budget exhausted mid-layer, and its test oracle.
 
 use schema_summary_core::{ElementId, SchemaStats};
 use serde::{Deserialize, Serialize};
@@ -123,7 +125,8 @@ impl PathConfig {
     }
 }
 
-/// Per-source exploration result.
+/// Per-source exploration result of the scalar kernel
+/// ([`Explorer::explore`]).
 #[derive(Debug, Clone)]
 pub struct SourceResult {
     /// `best_affinity[b]` = `A(source → b)` (Formula 2); 1 for the source
@@ -146,67 +149,200 @@ pub struct SourceResult {
     pub reads: Vec<u32>,
 }
 
+/// One source's slots in the caller's matrices, which
+/// [`Explorer::explore_batch`] fills in place: the source's row of the
+/// affinity matrix, of the coverage matrix (`Card(b) · product`,
+/// Formula 3) and of the raw coverage path products, plus the fields of
+/// [`SourceResult`] that are not rows.
+///
+/// The rows must arrive zeroed. The kernel writes only the targets a
+/// source reaches; an unreached target keeps the `+0.0` a full write
+/// would store there (`Card(b) · 0.0`, cardinalities being finite and
+/// non-negative).
+#[derive(Debug)]
+pub struct SourceRow<'a> {
+    /// The source element whose row this is.
+    pub source: ElementId,
+    /// `A(source → b)` for every `b` in id order.
+    pub affinity: &'a mut [f64],
+    /// `C(source → b)` for every `b` in id order.
+    pub coverage: &'a mut [f64],
+    /// The path maximum of Formula 3's product for every `b`
+    /// ([`SourceResult::best_cov_product`]).
+    pub cov_product: &'a mut [f64],
+    /// As [`SourceResult::truncated`].
+    pub truncated: bool,
+    /// As [`SourceResult::expansions`].
+    pub expansions: u64,
+    /// As [`SourceResult::reads`]; must arrive empty.
+    pub reads: Vec<u32>,
+}
+
+impl<'a> SourceRow<'a> {
+    /// Slots for `source` over three zeroed rows of the schema's width.
+    pub fn new(
+        source: ElementId,
+        affinity: &'a mut [f64],
+        coverage: &'a mut [f64],
+        cov_product: &'a mut [f64],
+    ) -> Self {
+        SourceRow {
+            source,
+            affinity,
+            coverage,
+            cov_product,
+            truncated: false,
+            expansions: 0,
+            reads: Vec::new(),
+        }
+    }
+
+    /// Copy a scalar exploration of this row's source into the slots.
+    fn fill(&mut self, res: SourceResult, stats: &SchemaStats) {
+        self.affinity.copy_from_slice(&res.best_affinity);
+        self.cov_product.copy_from_slice(&res.best_cov_product);
+        for (b, (slot, &product)) in self
+            .coverage
+            .iter_mut()
+            .zip(&res.best_cov_product)
+            .enumerate()
+        {
+            *slot = stats.card(ElementId(b as u32)) * product;
+        }
+        self.truncated = res.truncated;
+        self.expansions = res.expansions;
+        self.reads = res.reads;
+    }
+}
+
 /// Upper bound on sources advanced per batched frontier sweep: per-node
 /// lane membership is a `u64` bitmask, one bit per source lane.
 pub const MAX_BATCH_LANES: usize = 64;
 
-/// Arena scratch for the multi-source batched layered kernel
-/// ([`Explorer::explore_batch`]): every per-source array of the scalar
-/// kernel is flattened into one `n × stride` allocation indexed
-/// `[node * stride + lane]`, and the per-node frontier membership flags
-/// become `u64` bitmasks (bit `l` ⇔ lane `l`). The arenas hold the same
-/// all-zero-between-batches invariant as the scalar scratch, restored via
-/// the `touched` list so sparse batches cost O(touched · stride), not O(n).
+/// One layer of the batched kernel's lane arenas: every per-source array
+/// of the scalar kernel flattened into one `n × stride` allocation indexed
+/// `[node * stride + lane]`, with per-node frontier membership as a `u64`
+/// bitmask (bit `l` ⇔ lane `l`).
+#[derive(Debug, Default)]
+struct LaneLayer {
+    /// Max walk products at this layer's edge count.
+    aff: Vec<f64>,
+    cov: Vec<f64>,
+    /// Bit `l` set ⇔ the node is in lane `l`'s frontier at this layer.
+    mask: Vec<u64>,
+}
+
+/// Arena scratch for the batched layered kernel
+/// ([`Explorer::explore_batch`]). Every arena is all-zero between batches,
+/// like the scalar scratch: a node's layer cells and mask are zeroed as the
+/// node leaves the frontier, and its running maxima and read mask as they
+/// are transposed into the output rows, so a sparse batch costs
+/// O(touched · stride), not O(n).
 #[derive(Debug, Default)]
 struct BatchScratch {
-    /// Max-product value arenas at the current and next edge count.
-    cur_aff: Vec<f64>,
-    cur_cov: Vec<f64>,
-    next_aff: Vec<f64>,
-    next_cov: Vec<f64>,
-    /// Per-target running maxima (the scalar kernel folds these into the
-    /// result row directly; the batch keeps them lane-major until
-    /// extraction).
+    /// The layer being relaxed and the layer it reaches.
+    cur: LaneLayer,
+    next: LaneLayer,
+    /// Per-target running maxima over the layers folded so far.
     best_aff: Vec<f64>,
     best_cov: Vec<f64>,
-    /// Bit `l` set ⇔ the node is in lane `l`'s current/next frontier.
-    cur_mask: Vec<u64>,
-    next_mask: Vec<u64>,
-    /// Bit `l` set ⇔ lane `l` has recorded the node in its read set.
+    /// Bit `l` set ⇔ the node was in lane `l`'s frontier at some layer,
+    /// i.e. is in lane `l`'s read set.
     read_mask: Vec<u64>,
     /// Union frontiers across lanes (insertion-ordered, deduped by mask).
     frontier: Vec<u32>,
     next_frontier: Vec<u32>,
-    /// Every node with a nonzero `read_mask` — the cleanup list that
-    /// restores the all-zero arena invariant after a batch.
+    /// Every node with a nonzero `read_mask`.
     touched: Vec<u32>,
-    /// Per-lane read lists (unsorted; closed out by `finish_reads`).
-    reads: Vec<Vec<u32>>,
 }
 
 impl BatchScratch {
-    /// Grow the arenas to cover `nodes × stride` cells and `lanes` lanes.
-    /// Growth appends zeros, and the all-zero invariant keeps existing
-    /// cells zero, so re-sizing between batches of different shapes is
-    /// sound without a wipe.
-    fn ensure(&mut self, nodes: usize, stride: usize, lanes: usize) {
+    /// Grow the arenas to cover `nodes × stride` cells. Growth appends
+    /// zeros, and the all-zero invariant keeps existing cells zero, so
+    /// re-sizing between batches of different shapes is sound without a
+    /// wipe.
+    fn ensure(&mut self, nodes: usize, stride: usize) {
         let cells = nodes * stride;
-        if self.cur_aff.len() < cells {
-            self.cur_aff.resize(cells, 0.0);
-            self.cur_cov.resize(cells, 0.0);
-            self.next_aff.resize(cells, 0.0);
-            self.next_cov.resize(cells, 0.0);
-            self.best_aff.resize(cells, 0.0);
-            self.best_cov.resize(cells, 0.0);
+        if self.best_aff.len() < cells {
+            for arena in [
+                &mut self.cur.aff,
+                &mut self.cur.cov,
+                &mut self.next.aff,
+                &mut self.next.cov,
+                &mut self.best_aff,
+                &mut self.best_cov,
+            ] {
+                arena.resize(cells, 0.0);
+            }
         }
-        if self.cur_mask.len() < nodes {
-            self.cur_mask.resize(nodes, 0);
-            self.next_mask.resize(nodes, 0);
+        if self.read_mask.len() < nodes {
+            self.cur.mask.resize(nodes, 0);
+            self.next.mask.resize(nodes, 0);
             self.read_mask.resize(nodes, 0);
         }
-        if self.reads.len() < lanes {
-            self.reads.resize(lanes, Vec::new());
+    }
+
+    /// Take frontier node `u` out of the current layer, whose walks have
+    /// `edges` edges: stage its value cells in `aff`/`cov` and zero them,
+    /// fold them into the running maxima under that layer's denominator
+    /// (the sources' own layer, `edges = 0`, is not folded: source
+    /// entries are pinned instead), and mark the node read by its member
+    /// lanes. Returns the member-lane mask.
+    #[inline]
+    fn retire(
+        &mut self,
+        u: usize,
+        stride: usize,
+        dense: impl Fn(u64) -> bool,
+        denom: Option<f64>,
+        aff: &mut [f64; MAX_BATCH_LANES],
+        cov: &mut [f64; MAX_BATCH_LANES],
+    ) -> u64 {
+        let m = std::mem::take(&mut self.cur.mask[u]);
+        if self.read_mask[u] == 0 {
+            self.touched.push(u as u32);
         }
+        self.read_mask[u] |= m;
+        let bu = u * stride;
+        let cur_aff = &mut self.cur.aff[bu..][..stride];
+        let cur_cov = &mut self.cur.cov[bu..][..stride];
+        aff[..stride].copy_from_slice(cur_aff);
+        cov[..stride].copy_from_slice(cur_cov);
+        cur_aff.fill(0.0);
+        cur_cov.fill(0.0);
+        let Some(denom) = denom else { return m };
+        // The scalar fold, `if a > 0 { max(best, a / denom) }` and
+        // `if c > 0 { max(best, c) }`: every value and every maximum is
+        // ≥ +0.0, so a zero never beats the stored maximum and the `> 0`
+        // guards drop out. Keep the division: a reciprocal multiply
+        // changes bits for every denominator that is not a power of two.
+        let best_aff = &mut self.best_aff[bu..][..stride];
+        let best_cov = &mut self.best_cov[bu..][..stride];
+        if dense(m) {
+            for l in 0..stride {
+                let val = aff[l] / denom;
+                best_aff[l] = if val > best_aff[l] { val } else { best_aff[l] };
+                best_cov[l] = if cov[l] > best_cov[l] {
+                    cov[l]
+                } else {
+                    best_cov[l]
+                };
+            }
+        } else {
+            let mut bits = m;
+            while bits != 0 {
+                let l = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let val = aff[l] / denom;
+                if val > best_aff[l] {
+                    best_aff[l] = val;
+                }
+                if cov[l] > best_cov[l] {
+                    best_cov[l] = cov[l];
+                }
+            }
+        }
+        m
     }
 }
 
@@ -233,8 +369,8 @@ pub struct Explorer {
     /// Dedup flags for the per-source read set ([`SourceResult::reads`]);
     /// restored to all-false between sources.
     read_flag: Vec<bool>,
-    /// Lane arenas for [`explore_batch`](Self::explore_batch); allocated on
-    /// first batched call so single-source users pay nothing.
+    /// Lane arenas for [`explore_batch`](Self::explore_batch); allocated
+    /// on the first batched call.
     batch: Option<Box<BatchScratch>>,
 }
 
@@ -419,90 +555,107 @@ impl Explorer {
         result
     }
 
-    /// Explore many sources per frontier sweep: the **batched layered
+    /// Explore many sources per frontier sweep, writing each source's
+    /// results straight into its [`SourceRow`]: the **batched layered
     /// kernel**. One pass over each union-frontier vertex's CSR edge row
     /// advances every source lane at once — the inner loop is a
     /// branch-light multiply-max over the contiguous lane arenas — so the
     /// edge lanes are streamed once per layer for the whole batch instead
     /// of once per source.
     ///
+    /// Each layer is one pass over the frontier. For each frontier node
+    /// it folds the layer just reached into the per-lane maxima, marks
+    /// the node read, adds its traversable degree to each member lane's
+    /// budget count, stages its value cells (zeroing them) and relaxes
+    /// its edges. After the last layer the frontier it produced is folded
+    /// and marked read, and the lane arenas are transposed into each
+    /// source's rows; every lane's read set is built, already sorted,
+    /// from the read masks.
+    ///
     /// **Bit-for-bit identical to per-source [`explore`](Self::explore)**,
     /// including read sets, expansion counts, and flags:
     ///
     /// * values: the scalar kernel's per-target max is order-independent
     ///   (max over non-negative products), and the batch preserves the
-    ///   exact multiply chains, so each lane's maxima carry the same bits;
-    ///   blind relaxation of non-member lanes is a no-op because their
-    ///   values are zero and every product is ≥ 0;
+    ///   exact multiply chains and the fold's division, each value folded
+    ///   under the denominator of its own layer, so each lane's maxima
+    ///   carry the same bits; blind relaxation of non-member lanes is a
+    ///   no-op because their values are zero and every product is ≥ 0;
     /// * membership travels in the `u64` masks, never derived from values
     ///   (a lane's product can underflow to zero while its frontier
-    ///   membership — and its read set — must keep growing);
+    ///   membership — and its read set — must keep growing). A lane's read
+    ///   set is the union of its frontier masks over every layer; the
+    ///   scalar kernel's extra scan for nonzero targets adds nothing,
+    ///   since a value is nonzero only in a member lane;
     /// * expansions: a lane's per-layer count is the sum of traversable
     ///   degrees over its frontier members — order-independent, summed
     ///   from the precomputed
     ///   [`traversable_degree`](SchemaStats::traversable_degree) lane;
     /// * budget exhaustion is the one order-*dependent* part of the scalar
     ///   semantics (a mid-layer cut depends on frontier iteration order),
-    ///   so a lane whose next layer would overrun its remaining budget is
-    ///   evicted from the batch and re-run through the scalar kernel.
+    ///   so a lane whose layer overruns its remaining budget is evicted
+    ///   once the sweep ends and re-run through the scalar kernel; its
+    ///   batch state, that layer included, is discarded.
     ///
     /// Batches larger than [`MAX_BATCH_LANES`] are processed in chunks.
     pub fn explore_batch(
         &mut self,
-        sources: &[ElementId],
+        rows: &mut [SourceRow<'_>],
         stats: &SchemaStats,
         config: &PathConfig,
-    ) -> Vec<SourceResult> {
-        let mut out = Vec::with_capacity(sources.len());
-        if config.max_edges == 0 {
-            out.extend(sources.iter().map(|&s| self.explore(s, stats, config)));
-            return out;
+    ) {
+        for chunk in rows.chunks_mut(MAX_BATCH_LANES) {
+            self.explore_lanes(chunk, stats, config);
         }
-        for chunk in sources.chunks(MAX_BATCH_LANES) {
-            self.explore_batch_chunk(chunk, stats, config, &mut out);
-        }
-        out
     }
 
-    /// One ≤ [`MAX_BATCH_LANES`]-lane sweep of the batched layered kernel;
-    /// appends `sources.len()` results to `out` in source order.
-    fn explore_batch_chunk(
+    /// One ≤ [`MAX_BATCH_LANES`]-lane sweep of the batched layered kernel.
+    fn explore_lanes(
         &mut self,
-        sources: &[ElementId],
+        rows: &mut [SourceRow<'_>],
         stats: &SchemaStats,
         config: &PathConfig,
-        out: &mut Vec<SourceResult>,
     ) {
         let n = stats.len();
-        let lanes = sources.len();
+        let lanes = rows.len();
         debug_assert!(lanes <= MAX_BATCH_LANES);
         // Lane stride rounded up to the pad width so the hot multiply-max
         // loop runs whole vector widths.
         let stride = lanes.next_multiple_of(schema_summary_core::stats::LANE_PAD);
-        let mut scratch = self.batch.take().unwrap_or_default();
-        scratch.ensure(n, stride, lanes);
+        // Lane occupancy decides each node's loop shape: a saturated mask
+        // runs the full-stride loop (a straight SIMD stream over the
+        // padded row), a sparse one iterates only its set bits, so the
+        // flop and byte traffic track *active* lanes, not the batch width.
+        // Inactive lanes hold zeros, so both shapes produce identical bits.
+        let dense = |m: u64| (m.count_ones() as usize) * 4 >= lanes;
+        let mut s = self.batch.take().unwrap_or_default();
+        s.ensure(n, stride);
 
         let mut remaining = [0u64; MAX_BATCH_LANES];
         let mut expansions = [0u64; MAX_BATCH_LANES];
         let mut layer_exp = [0u64; MAX_BATCH_LANES];
-        // Bit `l` set: lane `l` would have exhausted its budget mid-layer;
-        // its batch state is abandoned and the source re-runs scalar.
-        let mut needs_scalar = 0u64;
+        // Bit `l` set: lane `l` overran its budget; its batch state is
+        // abandoned and the source re-runs scalar.
+        let mut evicted = 0u64;
 
-        for (l, &src) in sources.iter().enumerate() {
+        for (l, row) in rows.iter().enumerate() {
+            debug_assert!(
+                row.reads.is_empty()
+                    && [
+                        row.affinity.len(),
+                        row.coverage.len(),
+                        row.cov_product.len()
+                    ] == [n; 3],
+                "rows must arrive empty and {n} wide"
+            );
             remaining[l] = config.max_expansions as u64;
-            let i = src.index();
-            if scratch.read_mask[i] == 0 {
-                scratch.touched.push(src.0);
+            let i = row.source.index();
+            if s.cur.mask[i] == 0 {
+                s.frontier.push(row.source.0);
             }
-            if scratch.cur_mask[i] == 0 {
-                scratch.frontier.push(src.0);
-            }
-            scratch.cur_mask[i] |= 1 << l;
-            scratch.read_mask[i] |= 1 << l;
-            scratch.reads[l].push(src.0);
-            scratch.cur_aff[i * stride + l] = 1.0;
-            scratch.cur_cov[i * stride + l] = 1.0;
+            s.cur.mask[i] |= 1 << l;
+            s.cur.aff[i * stride + l] = 1.0;
+            s.cur.cov[i * stride + l] = 1.0;
         }
 
         let aff_scale = config.affinity_scale();
@@ -510,65 +663,35 @@ impl Explorer {
         let rcs = stats.rc_lane();
         let rc_factors = stats.rc_factor_lane();
         let w_backs = stats.w_back_lane();
-        for edges_used in 1..=config.max_edges {
-            if scratch.frontier.is_empty() {
-                break;
-            }
-            // Whole-layer budget accounting up front: a layer's expansion
-            // count per lane is Σ traversable-degree over the lane's
-            // frontier members, independent of sweep order. Lanes that
-            // cannot afford their full layer are evicted *before* any of
-            // it runs (mid-layer truncation is order-dependent).
+        // The staged value rows of the node being relaxed: loop-invariant
+        // across its edges, so stack copies pin them in L1 and free the
+        // inner loop from re-reading through the arena borrows after every
+        // store.
+        let mut src_aff = [0.0f64; MAX_BATCH_LANES];
+        let mut src_cov = [0.0f64; MAX_BATCH_LANES];
+        // `cur` holds walks of exactly `edges` edges.
+        let mut edges = 0;
+        while edges < config.max_edges && !s.frontier.is_empty() {
+            let denom = (edges > 0).then(|| config.length_denominator(edges));
+            edges += 1;
             layer_exp[..lanes].fill(0);
-            for &u in &scratch.frontier {
-                let d = u64::from(stats.traversable_degree(ElementId(u)));
-                if d == 0 {
-                    continue;
+            for fi in 0..s.frontier.len() {
+                let u = s.frontier[fi] as usize;
+                let m = s.retire(u, stride, dense, denom, &mut src_aff, &mut src_cov);
+                let d = u64::from(stats.traversable_degree(ElementId(u as u32)));
+                let dense_u = dense(m);
+                if dense_u {
+                    for (l, exp) in layer_exp[..lanes].iter_mut().enumerate() {
+                        *exp += d * ((m >> l) & 1);
+                    }
+                } else if d != 0 {
+                    let mut bits = m;
+                    while bits != 0 {
+                        layer_exp[bits.trailing_zeros() as usize] += d;
+                        bits &= bits - 1;
+                    }
                 }
-                let mut m = scratch.cur_mask[u as usize] & !needs_scalar;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    layer_exp[l] += d;
-                    m &= m - 1;
-                }
-            }
-            for (l, &exp) in layer_exp.iter().enumerate().take(lanes) {
-                if needs_scalar & (1 << l) != 0 {
-                    continue;
-                }
-                if exp > remaining[l] {
-                    needs_scalar |= 1 << l;
-                } else {
-                    remaining[l] -= exp;
-                    expansions[l] += exp;
-                }
-            }
-            // Relaxation sweep: one pass over the union frontier's edge
-            // rows updates all lanes. Mask propagation is branchless;
-            // non-member lanes carry zeros, so the blind multiply-max is a
-            // per-lane no-op for them.
-            for &u in &scratch.frontier {
-                let ui = u as usize;
-                let m = scratch.cur_mask[ui];
-                let bu = ui * stride;
-                // Lane occupancy decides the sweep shape per *node*: a
-                // saturated mask runs the full-stride multiply-max (a
-                // straight SIMD stream over the padded row), a sparse one
-                // iterates only its set bits — the flop and byte traffic
-                // then tracks *active* lanes, not the batch width. Both
-                // shapes relax identical values (inactive lanes hold zeros
-                // and every product is ≥ 0, so blind relaxation of them is
-                // a no-op), so the choice never changes bits.
-                let dense = (m.count_ones() as usize) * 4 >= lanes;
-                // The source node's value rows are loop-invariant across
-                // its edges; staging them in stack buffers pins them in L1
-                // and frees the inner loop from re-reading through the
-                // arena borrows after every store.
-                let mut src_aff = [0.0f64; MAX_BATCH_LANES];
-                let mut src_cov = [0.0f64; MAX_BATCH_LANES];
-                src_aff[..stride].copy_from_slice(&scratch.cur_aff[bu..][..stride]);
-                src_cov[..stride].copy_from_slice(&scratch.cur_cov[bu..][..stride]);
-                for idx in stats.edge_range(ElementId(u)) {
+                for idx in stats.edge_range(ElementId(u as u32)) {
                     if rcs[idx] <= 0.0 {
                         continue;
                     }
@@ -576,14 +699,14 @@ impl Explorer {
                     let rf = rc_factors[idx];
                     let cf = aff_scale * rf;
                     let wb = w_backs[idx];
-                    if scratch.next_mask[vi] == 0 {
-                        scratch.next_frontier.push(neighbors[idx].0);
+                    if s.next.mask[vi] == 0 {
+                        s.next_frontier.push(neighbors[idx].0);
                     }
-                    scratch.next_mask[vi] |= m;
+                    s.next.mask[vi] |= m;
                     let bv = vi * stride;
-                    if dense {
-                        let next_aff = &mut scratch.next_aff[bv..][..stride];
-                        let next_cov = &mut scratch.next_cov[bv..][..stride];
+                    if dense_u {
+                        let next_aff = &mut s.next.aff[bv..][..stride];
+                        let next_cov = &mut s.next.cov[bv..][..stride];
                         // Same multiply chains as the single-source kernel; the
                         // branchless select is bitwise the scalar compare-
                         // and-store (ties keep the stored value; no value is
@@ -601,11 +724,11 @@ impl Explorer {
                             bits &= bits - 1;
                             let na = src_aff[l] * rf;
                             let nc = (src_cov[l] * cf) * wb;
-                            let slot = &mut scratch.next_aff[bv + l];
+                            let slot = &mut s.next.aff[bv + l];
                             if na > *slot {
                                 *slot = na;
                             }
-                            let slot = &mut scratch.next_cov[bv + l];
+                            let slot = &mut s.next.cov[bv + l];
                             if nc > *slot {
                                 *slot = nc;
                             }
@@ -613,137 +736,87 @@ impl Explorer {
                     }
                 }
             }
-            // Fold the layer into the per-lane maxima and read sets.
-            let denom = config.length_denominator(edges_used);
-            for &v in &scratch.next_frontier {
-                let vi = v as usize;
-                let vm = scratch.next_mask[vi];
-                let mut new_bits = vm & !scratch.read_mask[vi];
-                if scratch.read_mask[vi] == 0 {
-                    scratch.touched.push(v);
+            // Whole-layer budget accounting: a lane's count is independent
+            // of sweep order, and a lane that cannot afford its full layer
+            // is evicted (mid-layer truncation is order-dependent).
+            for (l, &exp) in layer_exp.iter().enumerate().take(lanes) {
+                if evicted & (1 << l) != 0 {
+                    continue;
                 }
-                scratch.read_mask[vi] |= vm;
-                while new_bits != 0 {
-                    let l = new_bits.trailing_zeros() as usize;
-                    scratch.reads[l].push(v);
-                    new_bits &= new_bits - 1;
-                }
-                // Fold only member lanes (same dense/sparse split as the
-                // sweep): non-member lanes hold zeros, which the scalar
-                // fold skips via its `> 0` guards anyway.
-                let bv = vi * stride;
-                if (vm.count_ones() as usize) * 4 >= lanes {
-                    let next_aff = &scratch.next_aff[bv..][..stride];
-                    let next_cov = &scratch.next_cov[bv..][..stride];
-                    let best_aff = &mut scratch.best_aff[bv..][..stride];
-                    let best_cov = &mut scratch.best_cov[bv..][..stride];
-                    for l in 0..stride {
-                        let a = next_aff[l];
-                        if a > 0.0 {
-                            let val = a / denom;
-                            if val > best_aff[l] {
-                                best_aff[l] = val;
-                            }
-                        }
-                        let cv = next_cov[l];
-                        if cv > 0.0 && cv > best_cov[l] {
-                            best_cov[l] = cv;
-                        }
-                    }
+                if exp > remaining[l] {
+                    evicted |= 1 << l;
                 } else {
-                    let mut bits = vm;
-                    while bits != 0 {
-                        let l = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let a = scratch.next_aff[bv + l];
-                        if a > 0.0 {
-                            let val = a / denom;
-                            if val > scratch.best_aff[bv + l] {
-                                scratch.best_aff[bv + l] = val;
-                            }
-                        }
-                        let cv = scratch.next_cov[bv + l];
-                        if cv > 0.0 && cv > scratch.best_cov[bv + l] {
-                            scratch.best_cov[bv + l] = cv;
-                        }
-                    }
+                    remaining[l] -= exp;
+                    expansions[l] += exp;
                 }
             }
-            // Re-zero the consumed layer, then promote the next one.
-            for &u in &scratch.frontier {
-                let ui = u as usize;
-                let bu = ui * stride;
-                scratch.cur_aff[bu..bu + stride].fill(0.0);
-                scratch.cur_cov[bu..bu + stride].fill(0.0);
-                scratch.cur_mask[ui] = 0;
-            }
-            std::mem::swap(&mut scratch.cur_aff, &mut scratch.next_aff);
-            std::mem::swap(&mut scratch.cur_cov, &mut scratch.next_cov);
-            std::mem::swap(&mut scratch.cur_mask, &mut scratch.next_mask);
-            std::mem::swap(&mut scratch.frontier, &mut scratch.next_frontier);
-            scratch.next_frontier.clear();
+            std::mem::swap(&mut s.cur, &mut s.next);
+            std::mem::swap(&mut s.frontier, &mut s.next_frontier);
+            s.next_frontier.clear();
         }
+        // The last frontier produced still has to be folded and marked
+        // read (a loop that stopped on an empty frontier left none).
+        let denom = (edges > 0).then(|| config.length_denominator(edges));
+        for fi in 0..s.frontier.len() {
+            let u = s.frontier[fi] as usize;
+            s.retire(u, stride, dense, denom, &mut src_aff, &mut src_cov);
+        }
+        s.frontier.clear();
 
-        // Extract per-lane results (evicted lanes get a placeholder and a
-        // scalar re-run once the arenas are parked again).
-        let results_start = out.len();
-        for (l, &src) in sources.iter().enumerate() {
-            let mut result = SourceResult {
-                best_affinity: vec![0.0; n],
-                best_cov_product: vec![0.0; n],
-                truncated: false,
-                expansions: expansions[l],
-                reads: Vec::new(),
-            };
-            if needs_scalar & (1 << l) != 0 {
-                out.push(result);
-                continue;
+        // Transpose the maxima into the rows in ascending node order, so
+        // each lane's read set comes out sorted; sized first, so each is
+        // allocated once and exactly. Only member lanes can hold a nonzero
+        // maximum, and every other entry of a row is already zero.
+        let live = !evicted & (u64::MAX >> (MAX_BATCH_LANES - lanes));
+        s.touched.sort_unstable();
+        let mut read_counts = [0usize; MAX_BATCH_LANES];
+        for &v in &s.touched {
+            let mut bits = s.read_mask[v as usize] & live;
+            while bits != 0 {
+                read_counts[bits.trailing_zeros() as usize] += 1;
+                bits &= bits - 1;
             }
-            for &v in &scratch.touched {
-                let vi = v as usize;
-                result.best_affinity[vi] = scratch.best_aff[vi * stride + l];
-                result.best_cov_product[vi] = scratch.best_cov[vi * stride + l];
+        }
+        for (row, &count) in rows.iter_mut().zip(&read_counts) {
+            row.reads.reserve_exact(count);
+        }
+        for &v in &s.touched {
+            let vi = v as usize;
+            let bv = vi * stride;
+            let card = stats.card(ElementId(v));
+            let mut bits = std::mem::take(&mut s.read_mask[vi]) & live;
+            while bits != 0 {
+                let l = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let row = &mut rows[l];
+                let product = s.best_cov[bv + l];
+                row.affinity[vi] = s.best_aff[bv + l];
+                row.cov_product[vi] = product;
+                // Formula 3: C(a→b) = Card_b · max path product.
+                row.coverage[vi] = card * product;
+                row.reads.push(v);
+            }
+            s.best_aff[bv..][..stride].fill(0.0);
+            s.best_cov[bv..][..stride].fill(0.0);
+        }
+        s.touched.clear();
+        self.batch = Some(s);
+
+        for (l, row) in rows.iter_mut().enumerate() {
+            if evicted & (1 << l) != 0 {
+                let res = self.explore(row.source, stats, config);
+                row.fill(res, stats);
+                continue;
             }
             // The source's own entries are pinned at 1 (clamped factors
             // keep every walk product ≤ 1, so the scalar fold never
-            // improves them either).
-            result.best_affinity[src.index()] = 1.0;
-            result.best_cov_product[src.index()] = 1.0;
-            result.reads = std::mem::take(&mut scratch.reads[l]);
-            for &u in &result.reads {
-                self.read_flag[u as usize] = true;
-            }
-            self.finish_reads(n, &mut result);
-            out.push(result);
-        }
-
-        // Restore the all-zero arena invariant and park the scratch.
-        for &v in &scratch.touched {
-            let bv = v as usize * stride;
-            scratch.cur_aff[bv..bv + stride].fill(0.0);
-            scratch.cur_cov[bv..bv + stride].fill(0.0);
-            scratch.next_aff[bv..bv + stride].fill(0.0);
-            scratch.next_cov[bv..bv + stride].fill(0.0);
-            scratch.best_aff[bv..bv + stride].fill(0.0);
-            scratch.best_cov[bv..bv + stride].fill(0.0);
-            scratch.cur_mask[v as usize] = 0;
-            scratch.next_mask[v as usize] = 0;
-            scratch.read_mask[v as usize] = 0;
-        }
-        scratch.touched.clear();
-        scratch.frontier.clear();
-        scratch.next_frontier.clear();
-        for lane_reads in &mut scratch.reads {
-            lane_reads.clear();
-        }
-        self.batch = Some(scratch);
-
-        if needs_scalar != 0 {
-            for (l, &src) in sources.iter().enumerate() {
-                if needs_scalar & (1 << l) != 0 {
-                    out[results_start + l] = self.explore(src, stats, config);
-                }
-            }
+            // improves them either), and C(a→a) = Card_a · 1.
+            let src = row.source.index();
+            row.affinity[src] = 1.0;
+            row.cov_product[src] = 1.0;
+            row.coverage[src] = stats.card(row.source);
+            row.truncated = false;
+            row.expansions = expansions[l];
         }
     }
 }
@@ -1078,24 +1151,66 @@ mod tests {
         assert_eq!(after.best_cov_product, fresh.best_cov_product);
     }
 
-    /// The whole per-source contract, bit-for-bit: values, flags,
+    /// The whole per-source contract, bit-for-bit: a batched row against
+    /// a scalar result — values, the `Card · product` coverage row, flags,
     /// expansion counts, and read sets.
-    fn assert_result_bits_eq(a: &SourceResult, b: &SourceResult, ctx: &str) {
-        assert_eq!(a.truncated, b.truncated, "{ctx}: truncated");
-        assert_eq!(a.expansions, b.expansions, "{ctx}: expansions");
-        assert_eq!(a.reads, b.reads, "{ctx}: reads");
-        for i in 0..a.best_affinity.len() {
+    fn assert_row_bits_eq(
+        row: &SourceRow<'_>,
+        want: &SourceResult,
+        stats: &SchemaStats,
+        ctx: &str,
+    ) {
+        assert_eq!(row.truncated, want.truncated, "{ctx}: truncated");
+        assert_eq!(row.expansions, want.expansions, "{ctx}: expansions");
+        assert_eq!(row.reads, want.reads, "{ctx}: reads");
+        for i in 0..want.best_affinity.len() {
             assert_eq!(
-                a.best_affinity[i].to_bits(),
-                b.best_affinity[i].to_bits(),
+                row.affinity[i].to_bits(),
+                want.best_affinity[i].to_bits(),
                 "{ctx}: affinity[{i}]"
             );
             assert_eq!(
-                a.best_cov_product[i].to_bits(),
-                b.best_cov_product[i].to_bits(),
+                row.cov_product[i].to_bits(),
+                want.best_cov_product[i].to_bits(),
+                "{ctx}: coverage product[{i}]"
+            );
+            let coverage = stats.card(ElementId(i as u32)) * want.best_cov_product[i];
+            assert_eq!(
+                row.coverage[i].to_bits(),
+                coverage.to_bits(),
                 "{ctx}: coverage[{i}]"
             );
         }
+    }
+
+    /// Run `sources` through [`Explorer::explore_batch`] into fresh zeroed
+    /// rows and assert every row bit for bit against a scalar exploration.
+    /// Returns whether any scalar exploration truncated.
+    fn assert_batch_matches_scalar(
+        batched: &mut Explorer,
+        sources: &[ElementId],
+        stats: &SchemaStats,
+        config: &PathConfig,
+        ctx: &str,
+    ) -> bool {
+        let n = stats.len();
+        let [mut aff, mut cov, mut prod] = std::array::from_fn(|_| vec![0.0; sources.len() * n]);
+        let mut rows: Vec<SourceRow> = sources
+            .iter()
+            .zip(aff.chunks_exact_mut(n))
+            .zip(cov.chunks_exact_mut(n))
+            .zip(prod.chunks_exact_mut(n))
+            .map(|(((&src, a), c), p)| SourceRow::new(src, a, c, p))
+            .collect();
+        batched.explore_batch(&mut rows, stats, config);
+        let mut scalar = Explorer::new(n);
+        let mut any_truncated = false;
+        for row in &rows {
+            let want = scalar.explore(row.source, stats, config);
+            any_truncated |= want.truncated;
+            assert_row_bits_eq(row, &want, stats, &format!("{ctx} src={}", row.source));
+        }
+        any_truncated
     }
 
     #[test]
@@ -1105,14 +1220,14 @@ mod tests {
         let sources: Vec<_> = g.element_ids().collect();
         for batch in [1usize, 2, 3, 7, sources.len()] {
             let mut batched = Explorer::new(s.len());
-            let mut scalar = Explorer::new(s.len());
             for chunk in sources.chunks(batch) {
-                let results = batched.explore_batch(chunk, &s, &cfg);
-                assert_eq!(results.len(), chunk.len());
-                for (src, got) in chunk.iter().zip(&results) {
-                    let want = scalar.explore(*src, &s, &cfg);
-                    assert_result_bits_eq(got, &want, &format!("batch={batch} src={src}"));
-                }
+                assert_batch_matches_scalar(
+                    &mut batched,
+                    chunk,
+                    &s,
+                    &cfg,
+                    &format!("batch={batch}"),
+                );
             }
         }
     }
@@ -1129,14 +1244,8 @@ mod tests {
             };
             let sources: Vec<_> = g.element_ids().collect();
             let mut batched = Explorer::new(s.len());
-            let mut scalar = Explorer::new(s.len());
-            let results = batched.explore_batch(&sources, &s, &cfg);
-            let mut any_truncated = false;
-            for (src, got) in sources.iter().zip(&results) {
-                let want = scalar.explore(*src, &s, &cfg);
-                any_truncated |= want.truncated;
-                assert_result_bits_eq(got, &want, &format!("budget={max_expansions} src={src}"));
-            }
+            let ctx = format!("budget={max_expansions}");
+            let any_truncated = assert_batch_matches_scalar(&mut batched, &sources, &s, &cfg, &ctx);
             if max_expansions > 0 && max_expansions < 17 {
                 assert!(any_truncated, "budget {max_expansions} truncated nothing");
             }
@@ -1149,16 +1258,15 @@ mod tests {
         let cfg = PathConfig::default();
         let sources: Vec<_> = g.element_ids().collect();
         let mut explorer = Explorer::new(s.len());
-        let first = explorer.explore_batch(&sources, &s, &cfg);
-        // Interleave a truncating batch to dirty the arenas, then repeat.
+        assert_batch_matches_scalar(&mut explorer, &sources, &s, &cfg, "first");
+        // Interleave a truncating batch to dirty the arenas, then repeat:
+        // both full batches must still equal the scalar kernel, and so
+        // each other.
         let tight = PathConfig {
             max_expansions: 5,
             ..Default::default()
         };
-        let _ = explorer.explore_batch(&sources, &s, &tight);
-        let second = explorer.explore_batch(&sources, &s, &cfg);
-        for (i, (a, b)) in first.iter().zip(&second).enumerate() {
-            assert_result_bits_eq(a, b, &format!("reuse src index {i}"));
-        }
+        assert_batch_matches_scalar(&mut explorer, &sources, &s, &tight, "tight");
+        assert_batch_matches_scalar(&mut explorer, &sources, &s, &cfg, "second");
     }
 }

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use schema_summary_algo::assignment::{assign_elements, summary_coverage};
 use schema_summary_algo::importance::{compute_importance, compute_importance_rebased};
-use schema_summary_algo::paths::SourceResult;
+use schema_summary_algo::paths::{SourceResult, SourceRow};
 use schema_summary_algo::{
     build_multi_level, max_coverage, plan_delta, refresh_multi_level, Algorithm, DominanceSet,
     Explorer, ImportanceConfig, PairMatrices, PathConfig, PathLength, SetSearch, Summarizer,
@@ -490,9 +490,11 @@ proptest! {
 
     /// Work stealing on four threads and the inline pass on one thread
     /// agree bit for bit on randomized value-linked graphs, with and
-    /// without a budget that truncates some rows. An explicit thread count
-    /// runs the parallel path even on single-core machines and small
-    /// schemas.
+    /// without a budget that truncates some rows, down to the encoded
+    /// per-source metadata; and the rows the batched kernel writes in
+    /// place, with their read sets, are exactly the scalar explorer's. An
+    /// explicit thread count runs the parallel path even on single-core
+    /// machines and small schemas.
     #[test]
     fn parallel_matrices_match_serial(
         secs in prop::collection::vec((1u64..40, 1usize..5), 3..6),
@@ -500,6 +502,7 @@ proptest! {
         budget in 2usize..200,
     ) {
         let (g, s) = linked_schema(&secs, &picks);
+        let n = s.len();
         let truncating = PathConfig { max_expansions: budget, ..Default::default() };
         for cfg in [PathConfig::default(), truncating] {
             let par = PairMatrices::compute_with_threads(&s, &cfg, 4);
@@ -512,6 +515,47 @@ proptest! {
             }
             prop_assert_eq!(par.truncated(), ser.truncated());
             prop_assert_eq!(par.expansions(), ser.expansions());
+            // The encoding also carries every source's flag, expansion
+            // count, read set and coverage products.
+            prop_assert!(par.to_bytes() == ser.to_bytes(), "encodings differ");
+            // Every row the batched kernel wrote in place is a scalar
+            // exploration of its source, bit for bit.
+            let mut single = Explorer::new(n);
+            let want: Vec<SourceResult> =
+                g.element_ids().map(|x| single.explore(x, &s, &cfg)).collect();
+            for x in g.element_ids() {
+                let res = &want[x.index()];
+                for t in g.element_ids() {
+                    let i = t.index();
+                    prop_assert_eq!(
+                        ser.affinity(x, t).to_bits(),
+                        res.best_affinity[i].to_bits(),
+                        "aff {}→{}", x, t
+                    );
+                    prop_assert_eq!(
+                        ser.coverage(x, t).to_bits(),
+                        (s.card(t) * res.best_cov_product[i]).to_bits(),
+                        "cov {}→{}", x, t
+                    );
+                }
+            }
+            prop_assert_eq!(ser.truncated(), want.iter().any(|r| r.truncated));
+            prop_assert_eq!(ser.expansions(), want.iter().map(|r| r.expansions).sum::<u64>());
+            // Each row's recorded read set is the scalar one: a one-hot
+            // change selects exactly the rows whose scalar trace read it.
+            let mut touched = vec![false; n];
+            for u in 0..n {
+                touched[u] = true;
+                let selected = ser.rows_reading(&touched);
+                for (x, res) in want.iter().enumerate() {
+                    prop_assert_eq!(
+                        selected[x],
+                        res.reads.contains(&(u as u32)),
+                        "row {} reading {}", x, u
+                    );
+                }
+                touched[u] = false;
+            }
         }
     }
 
@@ -762,9 +806,10 @@ proptest! {
     /// The multi-source batched layered kernel is bit-identical to
     /// single-source exploration at every chunk size — one lane, partial
     /// last chunks (2, 7), a full 64-lane chunk, and all sources at once —
-    /// including expansion counts, truncation and read sets, with and
-    /// without a budget that evicts lanes to the single-source kernel.
-    /// Zero-cardinality sections put untraversable edges in the graph.
+    /// including the coverage rows, expansion counts, truncation and read
+    /// sets, with and without a budget that evicts lanes to the
+    /// single-source kernel. Zero-cardinality sections put untraversable
+    /// edges in the graph.
     #[test]
     fn batched_layered_matches_single_source(
         secs in prop::collection::vec((0u64..40, 1usize..5), 3..6),
@@ -772,33 +817,49 @@ proptest! {
         budget in 2usize..200,
     ) {
         let (g, s) = linked_schema(&secs, &picks);
+        let n = s.len();
         let sources: Vec<ElementId> = g.element_ids().collect();
         let truncating = PathConfig { max_expansions: budget, ..Default::default() };
         for cfg in [PathConfig::default(), truncating] {
-            let mut single = Explorer::new(s.len());
+            let mut single = Explorer::new(n);
             let want: Vec<SourceResult> =
                 sources.iter().map(|&x| single.explore(x, &s, &cfg)).collect();
-            for chunk in [1usize, 2, 7, 64, s.len()] {
-                let mut batched = Explorer::new(s.len());
-                let got: Vec<SourceResult> = sources
-                    .chunks(chunk)
-                    .flat_map(|c| batched.explore_batch(c, &s, &cfg))
+            for chunk in [1usize, 2, 7, 64, n] {
+                // Zeroed affinity, coverage and coverage-product rows, one
+                // set per source, written in place by the kernel.
+                let [mut aff, mut cov, mut prod] = [(); 3].map(|()| vec![0.0; n * n]);
+                let mut rows: Vec<SourceRow> = sources
+                    .iter()
+                    .zip(aff.chunks_exact_mut(n))
+                    .zip(cov.chunks_exact_mut(n))
+                    .zip(prod.chunks_exact_mut(n))
+                    .map(|(((&x, a), c), p)| SourceRow::new(x, a, c, p))
                     .collect();
-                prop_assert_eq!(got.len(), want.len());
-                for (x, (a, b)) in sources.iter().zip(got.iter().zip(&want)) {
+                let mut batched = Explorer::new(n);
+                for c in rows.chunks_mut(chunk) {
+                    batched.explore_batch(c, &s, &cfg);
+                }
+                for (a, b) in rows.iter().zip(&want) {
+                    let x = a.source;
                     prop_assert_eq!(a.truncated, b.truncated, "truncated {} at {}", x, chunk);
                     prop_assert_eq!(a.expansions, b.expansions, "expansions {} at {}", x, chunk);
                     prop_assert_eq!(&a.reads, &b.reads, "reads {} at {}", x, chunk);
-                    for t in 0..s.len() {
+                    for t in 0..n {
                         prop_assert_eq!(
-                            a.best_affinity[t].to_bits(),
+                            a.affinity[t].to_bits(),
                             b.best_affinity[t].to_bits(),
                             "aff {}→{} at {}", x, t, chunk
                         );
                         prop_assert_eq!(
-                            a.best_cov_product[t].to_bits(),
+                            a.cov_product[t].to_bits(),
                             b.best_cov_product[t].to_bits(),
                             "cov {}→{} at {}", x, t, chunk
+                        );
+                        let coverage = s.card(ElementId(t as u32)) * b.best_cov_product[t];
+                        prop_assert_eq!(
+                            a.coverage[t].to_bits(),
+                            coverage.to_bits(),
+                            "card·cov {}→{} at {}", x, t, chunk
                         );
                     }
                 }

@@ -5,7 +5,10 @@
 //! growing an unbounded backlog — the caller turns that into a structured
 //! `overloaded` reply, which is the backpressure discipline production
 //! result caches use. Shutdown is graceful: no new jobs are admitted,
-//! queued jobs drain, and every worker is joined.
+//! queued jobs drain, and every worker is joined. A job that panics ends
+//! at its own boundary: its worker survives and takes the next job (a
+//! request's reply sender is dropped with the job, which its caller
+//! answers as a lost request).
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -101,7 +104,9 @@ impl WorkerPool {
         let handles: Vec<JoinHandle<()>> =
             self.workers.lock().expect("pool poisoned").drain(..).collect();
         for worker in handles {
-            worker.join().expect("pool worker panicked");
+            // Jobs cannot take a worker down, so a failed join has nothing
+            // left to drain; shutdown still joins the rest.
+            let _ = worker.join();
         }
     }
 }
@@ -121,7 +126,12 @@ fn worker_loop(shared: &Shared) {
             }
         };
         match job {
-            Some(job) => job(),
+            // The job owns everything it touches except what it shares
+            // through locks, which a panic poisons, so the worker may go
+            // on. The panic hook has already reported the panic.
+            Some(job) => {
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+            }
             None => return,
         }
     }
@@ -132,6 +142,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn executes_jobs_on_workers() {
@@ -195,5 +206,19 @@ mod tests {
         pool.shutdown();
         // Every admitted job ran to completion before shutdown returned.
         assert_eq!(ran.load(Ordering::SeqCst), 6);
+    }
+
+    #[test]
+    fn panicking_jobs_do_not_kill_workers() {
+        // One worker: had either panic killed it, the third job would
+        // never run.
+        let pool = WorkerPool::new(1, 16);
+        for _ in 0..2 {
+            pool.try_execute(|| panic!("deliberate job panic")).unwrap();
+        }
+        let (tx, rx) = mpsc::channel();
+        pool.try_execute(move || tx.send(7).unwrap()).unwrap();
+        assert_eq!(rx.recv_timeout(Duration::from_secs(30)), Ok(7));
+        pool.shutdown();
     }
 }
