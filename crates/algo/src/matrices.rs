@@ -34,8 +34,8 @@ use std::sync::{Mutex, OnceLock};
 /// few lanes) and 32+ (arenas spill L2 on thousand-element schemas).
 pub const DEFAULT_SOURCE_BATCH: usize = 16;
 
-/// Below this many elements [`PairMatrices::compute`] runs on the calling
-/// thread: thread spawn overhead outweighs the per-source work.
+/// A row pass that explores fewer than this many sources runs on the
+/// calling thread: thread spawn overhead outweighs the per-source work.
 const PARALLEL_THRESHOLD: usize = 64;
 
 /// The CPUs this process may use, read once: the query reads cgroup
@@ -44,6 +44,17 @@ fn cpu_count() -> usize {
     static CPUS: OnceLock<usize> = OnceLock::new();
     *CPUS
         .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+}
+
+/// The one thread rule for a row pass over `rows` sources, cold
+/// ([`PairMatrices::compute`]) or spliced ([`PairMatrices::splice`]): the
+/// calling thread alone below [`PARALLEL_THRESHOLD`], every CPU otherwise.
+fn threads_for(rows: usize) -> usize {
+    if rows < PARALLEL_THRESHOLD {
+        1
+    } else {
+        cpu_count()
+    }
 }
 
 /// Source handout order for batched computes: breadth-first from each
@@ -136,12 +147,7 @@ impl PairMatrices {
     /// across source elements once the schema is large enough to repay
     /// the thread spawns and more than one CPU is available.
     pub fn compute(stats: &SchemaStats, config: &PathConfig) -> Self {
-        let threads = if stats.len() < PARALLEL_THRESHOLD {
-            1
-        } else {
-            cpu_count()
-        };
-        Self::compute_with_threads(stats, config, threads)
+        Self::compute_with_threads(stats, config, threads_for(stats.len()))
     }
 
     /// [`compute`](Self::compute) on exactly `threads` worker threads,
@@ -250,6 +256,10 @@ impl PairMatrices {
     /// entries, flags, and expansion counts — are indistinguishable from
     /// [`compute`](Self::compute) on the new statistics.
     ///
+    /// The re-explored rows go through the same row loop as a cold pass,
+    /// under the same thread rule: on the calling thread below 64 rows,
+    /// on every CPU from there.
+    ///
     /// **Resizing**: `stats` may cover *more* elements than `self` (an
     /// additive structural delta appended elements). The splice then grows
     /// the matrices in place: every appended source row must be marked in
@@ -321,7 +331,7 @@ impl PairMatrices {
             }
             redo_rows.sort_unstable_by_key(|e| rank[e.index()]);
         }
-        out.explore_rows(&redo_rows, stats, config, 1);
+        out.explore_rows(&redo_rows, stats, config, threads_for(redo_rows.len()));
         Some(out)
     }
 

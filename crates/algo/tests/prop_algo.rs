@@ -594,7 +594,10 @@ proptest! {
     /// A warm matrix refresh — `plan_delta` over a cardinality delta, then
     /// `PairMatrices::splice` of the recompute set into the old matrices —
     /// is bit-identical to a cold recompute on the new statistics,
-    /// including the truncation flag and expansion counts.
+    /// including the truncation flag and expansion counts. The same delta
+    /// on a widened schema re-explores 64 rows or more, so its splice runs
+    /// on every CPU, and carries the rows of a dormant section; its
+    /// encoding, per-source metadata included, equals a cold compute's.
     #[test]
     fn incremental_splice_matches_cold(
         secs in prop::collection::vec((1u64..40, 1usize..5), 3..6),
@@ -619,6 +622,23 @@ proptest! {
         let warm = old_m.splice(&new, &config, &plan.recompute).unwrap();
         let cold = PairMatrices::compute(&new, &config);
         prop_assert!(warm.bitwise_eq(&cold));
+
+        // Each section widened by 24 leaves, plus a zero-card section whose
+        // untraversable rows read nothing the delta touches.
+        let wide: Vec<(u64, usize)> =
+            secs.iter().map(|&(card, fan)| (card, fan + 24)).chain([(0, 3)]).collect();
+        let mut wide2 = wide.clone();
+        wide2[i].0 *= bump;
+        let (gw, old_w) = linked_schema(&wide, &picks);
+        let (_, new_w) = linked_schema(&wide2, &picks);
+        let delta = SchemaDelta::compute(&gw, &old_w, &gw, &new_w);
+        let old_m = PairMatrices::compute(&old_w, &config);
+        let plan = plan_delta(&delta, &gw, &old_w, &gw, &new_w, &old_m, &config, 1.0).unwrap();
+        let (rows, n) = (plan.rows, gw.len());
+        prop_assert!(rows >= 64 && rows < n, "{} of {} rows re-explored", rows, n);
+        let warm = old_m.splice(&new_w, &config, &plan.recompute).unwrap();
+        let cold = PairMatrices::compute(&new_w, &config);
+        prop_assert_eq!(warm.to_bytes(), cold.to_bytes());
     }
 
     /// Incrementally refreshing a cached multi-level stack after a delta —

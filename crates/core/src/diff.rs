@@ -18,7 +18,7 @@ use crate::stats::SchemaStats;
 use crate::summary::SchemaSummary;
 use crate::SchemaGraph;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::HashMap;
 
 /// A structured difference between two summaries over the same graph.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -222,55 +222,101 @@ pub struct SchemaDelta {
 }
 
 impl SchemaDelta {
-    /// Diff two annotated schemas.
+    /// Diff two annotated schemas, fingerprinting both first. Callers that
+    /// already hold the fingerprints (the serving catalog keys its entries
+    /// by them) call [`between`](Self::between) instead.
     pub fn compute(
         old_graph: &SchemaGraph,
         old_stats: &SchemaStats,
         new_graph: &SchemaGraph,
         new_stats: &SchemaStats,
     ) -> Self {
-        let paths_of = |g: &SchemaGraph| -> BTreeMap<String, ElementId> {
-            g.element_ids().map(|e| (g.label_path(e), e)).collect()
-        };
-        let old_paths = paths_of(old_graph);
-        let new_paths = paths_of(new_graph);
+        Self::between(
+            SchemaFingerprint::of_annotated(old_graph, old_stats),
+            old_graph,
+            old_stats,
+            SchemaFingerprint::of_annotated(new_graph, new_stats),
+            new_graph,
+            new_stats,
+        )
+    }
 
-        let added_elements: Vec<String> = new_paths
-            .keys()
-            .filter(|p| !old_paths.contains_key(*p))
-            .cloned()
-            .collect();
-        let removed_elements: Vec<String> = old_paths
-            .keys()
-            .filter(|p| !new_paths.contains_key(*p))
-            .cloned()
-            .collect();
+    /// Diff two annotated schemas whose fingerprints are known. Each
+    /// fingerprint must be [`SchemaFingerprint::of_annotated`] of its
+    /// graph and statistics (checked in debug builds).
+    ///
+    /// Every label path is built once, extending its parent's, and
+    /// interned into an id shared by both graphs; the element, neighbour
+    /// and value-link comparisons run on those ids, and strings are
+    /// copied out only for reported entries. Where several elements of
+    /// one graph share a path (siblings with one label), the last one by
+    /// id stands for the path, as does the last of several neighbours
+    /// sharing a path.
+    pub fn between(
+        old_fingerprint: SchemaFingerprint,
+        old_graph: &SchemaGraph,
+        old_stats: &SchemaStats,
+        new_fingerprint: SchemaFingerprint,
+        new_graph: &SchemaGraph,
+        new_stats: &SchemaStats,
+    ) -> Self {
+        debug_assert_eq!(
+            old_fingerprint,
+            SchemaFingerprint::of_annotated(old_graph, old_stats),
+            "old fingerprint does not match its content"
+        );
+        debug_assert_eq!(
+            new_fingerprint,
+            SchemaFingerprint::of_annotated(new_graph, new_stats),
+            "new fingerprint does not match its content"
+        );
+        let paths = SharedPaths::new(old_graph, new_graph);
+
+        let mut added_elements = Vec::new();
+        let mut removed_elements = Vec::new();
         let mut retyped_elements = Vec::new();
         let mut changed_cardinalities = Vec::new();
-        for (path, &oe) in &old_paths {
-            let Some(&ne) = new_paths.get(path) else {
+        let (mut old_nbs, mut new_nbs) = (Vec::new(), Vec::new());
+        for (&oe, &ne) in paths.old_at.iter().zip(&paths.new_at) {
+            if oe == ABSENT {
+                added_elements.push(paths.new.path(ne));
                 continue;
-            };
-            if old_graph.ty(oe) != new_graph.ty(ne) {
-                retyped_elements.push(path.clone());
             }
-            if stats_differ(old_graph, old_stats, oe, new_graph, new_stats, ne) {
-                changed_cardinalities.push(path.clone());
+            if ne == ABSENT {
+                removed_elements.push(paths.old.path(oe));
+                continue;
+            }
+            let (oe, ne) = (ElementId(oe), ElementId(ne));
+            if old_graph.ty(oe) != new_graph.ty(ne) {
+                retyped_elements.push(paths.old.path(oe.0));
+            }
+            let changed = old_stats.card(oe) != new_stats.card(ne) || {
+                neighbours(old_stats, oe, &paths.old_ids, &mut old_nbs);
+                neighbours(new_stats, ne, &paths.new_ids, &mut new_nbs);
+                old_nbs.len() != new_nbs.len()
+                    || old_nbs
+                        .iter()
+                        .zip(&new_nbs)
+                        .any(|(o, n)| o.0 != n.0 || o.1 != n.1)
+            };
+            if changed {
+                changed_cardinalities.push(paths.old.path(oe.0));
             }
         }
-        // BTreeMap iteration is already sorted; these inherit that order.
 
-        let links_of = |g: &SchemaGraph| -> BTreeSet<(String, String)> {
-            g.value_links()
-                .map(|(f, t)| (g.label_path(f), g.label_path(t)))
-                .collect()
+        let old_links = link_ids(old_graph, &paths.old_ids);
+        let new_links = link_ids(new_graph, &paths.new_ids);
+        let only_in = |links: &[(u32, u32)], other: &[(u32, u32)]| -> Vec<(String, String)> {
+            let mut only: Vec<(String, String)> = links
+                .iter()
+                .filter(|link| other.binary_search(link).is_err())
+                .map(|&(from, to)| (paths.string(from), paths.string(to)))
+                .collect();
+            only.sort_unstable();
+            only
         };
-        let old_links = links_of(old_graph);
-        let new_links = links_of(new_graph);
-        let added_value_links: Vec<(String, String)> =
-            new_links.difference(&old_links).cloned().collect();
-        let removed_value_links: Vec<(String, String)> =
-            old_links.difference(&new_links).cloned().collect();
+        let added_value_links = only_in(&new_links, &old_links);
+        let removed_value_links = only_in(&old_links, &new_links);
 
         let class = if !removed_elements.is_empty()
             || !retyped_elements.is_empty()
@@ -299,14 +345,14 @@ impl SchemaDelta {
         };
 
         SchemaDelta {
-            old_fingerprint: SchemaFingerprint::of_annotated(old_graph, old_stats),
-            new_fingerprint: SchemaFingerprint::of_annotated(new_graph, new_stats),
-            added_elements,
-            removed_elements,
-            retyped_elements,
+            old_fingerprint,
+            new_fingerprint,
+            added_elements: sorted_strings(added_elements),
+            removed_elements: sorted_strings(removed_elements),
+            retyped_elements: sorted_strings(retyped_elements),
             added_value_links,
             removed_value_links,
-            changed_cardinalities,
+            changed_cardinalities: sorted_strings(changed_cardinalities),
             class,
         }
     }
@@ -350,25 +396,158 @@ impl SchemaDelta {
     }
 }
 
-fn stats_differ(
-    old_graph: &SchemaGraph,
-    old_stats: &SchemaStats,
-    oe: ElementId,
-    new_graph: &SchemaGraph,
-    new_stats: &SchemaStats,
-    ne: ElementId,
-) -> bool {
-    if old_stats.card(oe) != new_stats.card(ne) {
-        return true;
+/// Marks a path id that names no element of one graph.
+const ABSENT: u32 = u32::MAX;
+
+/// One graph's label paths, built once in id order: each path is its
+/// parent's path, a `/` and its own label, stored back to back in one
+/// buffer. The bytes are whole UTF-8 labels and `/`s, so every path is
+/// valid UTF-8.
+struct LabelPaths {
+    bytes: Vec<u8>,
+    /// Element `e`'s path is `bytes[bounds[e]..bounds[e + 1]]`.
+    bounds: Vec<usize>,
+}
+
+impl LabelPaths {
+    fn of(graph: &SchemaGraph) -> Self {
+        let mut bounds = Vec::with_capacity(graph.len() + 1);
+        bounds.push(0);
+        let mut paths = LabelPaths {
+            bytes: Vec::new(),
+            bounds,
+        };
+        for e in graph.element_ids() {
+            match graph.parent(e) {
+                None => paths.bytes.extend_from_slice(graph.label(e).as_bytes()),
+                Some(p) if p < e => {
+                    let parent = paths.span(p.0);
+                    paths.bytes.extend_from_within(parent);
+                    paths.bytes.push(b'/');
+                    paths.bytes.extend_from_slice(graph.label(e).as_bytes());
+                }
+                // A deserialized graph may place a parent after its child.
+                Some(_) => paths
+                    .bytes
+                    .extend_from_slice(graph.label_path(e).as_bytes()),
+            }
+            paths.bounds.push(paths.bytes.len());
+        }
+        paths
     }
-    // Compare outgoing RC adjacency by neighbor label path (ids are not
-    // comparable across graphs).
-    let adj = |g: &SchemaGraph, s: &SchemaStats, e: ElementId| -> BTreeMap<String, f64> {
-        s.rc_neighbors(e)
-            .map(|(nb, rc)| (g.label_path(nb), rc))
+
+    fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    fn span(&self, e: u32) -> std::ops::Range<usize> {
+        self.bounds[e as usize]..self.bounds[e as usize + 1]
+    }
+
+    fn path(&self, e: u32) -> &[u8] {
+        &self.bytes[self.span(e)]
+    }
+
+    /// Each element's path id in `index`, which numbers paths in the
+    /// order they are first seen.
+    fn intern<'a>(&'a self, index: &mut HashMap<&'a [u8], u32>) -> Vec<u32> {
+        (0..self.len() as u32)
+            .map(|e| {
+                let next = index.len() as u32;
+                *index.entry(self.path(e)).or_insert(next)
+            })
             .collect()
-    };
-    adj(old_graph, old_stats, oe) != adj(new_graph, new_stats, ne)
+    }
+}
+
+/// Both graphs' label paths, interned into path ids they share: two
+/// elements have the same path id exactly when their label paths are
+/// equal strings.
+struct SharedPaths {
+    old: LabelPaths,
+    new: LabelPaths,
+    /// The path id of each element, per graph.
+    old_ids: Vec<u32>,
+    new_ids: Vec<u32>,
+    /// Per path id, the last element (by id) with that path in each
+    /// graph, or [`ABSENT`].
+    old_at: Vec<u32>,
+    new_at: Vec<u32>,
+}
+
+impl SharedPaths {
+    fn new(old_graph: &SchemaGraph, new_graph: &SchemaGraph) -> Self {
+        let old = LabelPaths::of(old_graph);
+        let new = LabelPaths::of(new_graph);
+        let mut index = HashMap::with_capacity(old.len());
+        let old_ids = old.intern(&mut index);
+        let new_ids = new.intern(&mut index);
+        let count = index.len();
+        let last_at = |ids: &[u32]| -> Vec<u32> {
+            let mut at = vec![ABSENT; count];
+            for (e, &id) in ids.iter().enumerate() {
+                at[id as usize] = e as u32;
+            }
+            at
+        };
+        SharedPaths {
+            old_at: last_at(&old_ids),
+            new_at: last_at(&new_ids),
+            old,
+            new,
+            old_ids,
+            new_ids,
+        }
+    }
+
+    /// The label path of path id `id`.
+    fn string(&self, id: u32) -> String {
+        let id = id as usize;
+        let path = match self.old_at[id] {
+            ABSENT => self.new.path(self.new_at[id]),
+            e => self.old.path(e),
+        };
+        path_string(path)
+    }
+}
+
+fn path_string(path: &[u8]) -> String {
+    String::from_utf8(path.to_vec()).expect("label paths are built from whole UTF-8 labels")
+}
+
+/// Reported paths in `String` order (byte order, which is `[u8]` order).
+fn sorted_strings(mut paths: Vec<&[u8]>) -> Vec<String> {
+    paths.sort_unstable();
+    paths.into_iter().map(path_string).collect()
+}
+
+/// `e`'s outgoing relative cardinalities keyed by neighbour path id,
+/// sorted by id, into `out`. Neighbours that share a path keep the last
+/// one's value, as inserting them into a map in order would.
+fn neighbours(stats: &SchemaStats, e: ElementId, ids: &[u32], out: &mut Vec<(u32, f64)>) {
+    out.clear();
+    out.extend(stats.rc_neighbors(e).map(|(nb, rc)| (ids[nb.index()], rc)));
+    // Stable, so equal ids stay in neighbour order.
+    out.sort_by_key(|&(id, _)| id);
+    out.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 = later.1;
+        }
+        same
+    });
+}
+
+/// The graph's value links as `(referrer, referee)` path-id pairs,
+/// sorted and de-duplicated.
+fn link_ids(graph: &SchemaGraph, ids: &[u32]) -> Vec<(u32, u32)> {
+    let mut links: Vec<(u32, u32)> = graph
+        .value_links()
+        .map(|(from, to)| (ids[from.index()], ids[to.index()]))
+        .collect();
+    links.sort_unstable();
+    links.dedup();
+    links
 }
 
 #[cfg(test)]

@@ -1039,9 +1039,11 @@ impl SummaryService {
             // already-applied update: identical content, nothing to diff.
             // Short-circuit without touching the store so no cached
             // result is purged and no delta counter moves.
-            return Ok(SchemaDelta::compute(
+            return Ok(SchemaDelta::between(
+                old_fp,
                 old.graph(),
                 old.stats(),
+                old_fp,
                 old.graph(),
                 old.stats(),
             ));
@@ -1051,7 +1053,16 @@ impl SummaryService {
             .catalog()
             .get(new_fp)
             .ok_or(ServiceError::UnknownFingerprint(new_fp))?;
-        let delta = SchemaDelta::compute(old.graph(), old.stats(), new.graph(), new.stats());
+        // The catalog keys each entry by its content's fingerprint, so the
+        // diff need not hash either schema again.
+        let delta = SchemaDelta::between(
+            old_fp,
+            old.graph(),
+            old.stats(),
+            new_fp,
+            new.graph(),
+            new.stats(),
+        );
         self.apply_delta(&delta);
         Ok(delta)
     }
@@ -1062,7 +1073,8 @@ impl SummaryService {
     /// new fingerprint's artifacts warm from the old ones when the delta
     /// qualifies, evicting the stale fingerprint either way. Returns the
     /// delta. (The new content is registered *before* the delta is
-    /// applied so the warm path has a destination to seed.)
+    /// computed, so the diff reuses both catalog fingerprints and the
+    /// warm path has a destination to seed.)
     pub fn update_named(
         &self,
         name: &str,
@@ -1077,8 +1089,8 @@ impl SummaryService {
             .catalog()
             .get(old_fp)
             .ok_or(ServiceError::UnknownFingerprint(old_fp))?;
-        let delta = SchemaDelta::compute(old.graph(), old.stats(), &graph, &stats);
-        self.register_named(name, graph, stats);
+        let new_fp = self.register_named(name, Arc::clone(&graph), Arc::clone(&stats));
+        let delta = SchemaDelta::between(old_fp, old.graph(), old.stats(), new_fp, &graph, &stats);
         self.apply_delta(&delta);
         Ok(delta)
     }

@@ -284,6 +284,14 @@ impl ArtifactStore {
                 match in_flight.get(key) {
                     Some(flight) => (Arc::clone(flight), false),
                     None => {
+                        // A leader may have published since the lookup
+                        // above: it inserts into memory before it removes
+                        // its flight, so a second look under the lock
+                        // finds its result rather than computing it again.
+                        if let Some(artifact) = self.results.get(key) {
+                            self.hits.fetch_add(1, Ordering::Relaxed);
+                            return Ok((artifact, true));
+                        }
                         let flight = Arc::new(Flight::new());
                         in_flight.insert(key.clone(), Arc::clone(&flight));
                         (Arc::clone(&flight), true)
