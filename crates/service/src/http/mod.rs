@@ -1,20 +1,24 @@
-//! HTTP/1.1 front-end for [`SummaryService`](crate::SummaryService):
-//! framing, routing, the observability plane, and the admin plane — all
-//! standard library, no async runtime.
+//! HTTP/1.1, the service's one wire format: framing, routing, the
+//! observability plane, and the admin plane — all standard library, no
+//! async runtime.
 //!
 //! The subsystem is layered:
 //!
 //! * [`request`](self::request) — incremental request parsing with strict
 //!   limits (8 KiB head, 1 MiB body, `Content-Length` or chunked bodies);
-//! * [`response`](self::response) — response construction/serialization;
+//! * [`response`](self::response) — response construction/serialization
+//!   and the [`WireError`] body of every error;
 //! * [`router`](self::router) — `(method, path)` dispatch onto the
 //!   service (`/v1/*`), metrics/health (`/metrics`, `/healthz`), and
 //!   admin (`/admin/*`) handlers;
 //! * [`metrics`](self::metrics) — Prometheus text exposition of the
 //!   cache, store, catalog, and server counters;
-//! * [`server`](self::server) — the keep-alive connection loop on the
-//!   shared listener plumbing, with summary computation on the bounded
-//!   worker pool (`503` when the queue is full, `504` on timeout).
+//! * [`server`](self::server) — [`HttpServer`]: the node's routes on the
+//!   connection layer it shares with the cluster router (`listener.rs`:
+//!   accept, keep-alive loop, parse-error statuses, audit line,
+//!   connection counters, shutdown), with every summary computation on
+//!   the bounded worker pool (`503` when the queue is full, `504` on
+//!   timeout).
 
 pub(crate) mod fanout;
 pub(crate) mod metrics;
@@ -100,4 +104,17 @@ impl fmt::Display for HttpServerStats {
             self.fanout_sent
         )
     }
+}
+
+/// A structured request failure, the body of every error response
+/// (`{"error":{"kind":...,"message":...}}`): a stable machine-readable
+/// `kind` (`overloaded`, `timeout`, `malformed`, `bad_request`,
+/// `unknown_schema`, `unknown_fingerprint`, `algo`, `internal`, ...) plus
+/// a human-readable message.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct WireError {
+    /// Machine-readable error class.
+    pub kind: String,
+    /// Human-readable detail.
+    pub message: String,
 }

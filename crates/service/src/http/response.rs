@@ -1,6 +1,10 @@
 //! Response construction and serialization: status line, minimal headers
-//! (`Content-Type`, `Content-Length`, `Connection`), body.
+//! (`Content-Type`, `Content-Length`, `Connection`, and `Allow` on a
+//! `405`), body. Every error either front-end sends, the node's and the
+//! router's alike, is one [`WireError`](crate::http::WireError) body built
+//! here.
 
+use crate::service::ServiceError;
 use std::io::{self, Write};
 
 /// A fully materialized response, ready to serialize.
@@ -41,15 +45,14 @@ impl HttpResponse {
     }
 
     /// A structured error: `{"error":{"kind":...,"message":...}}`, the
-    /// same [`WireError`](crate::server::WireError) shape the line-JSON
-    /// protocol uses for its `error` field.
+    /// [`WireError`](crate::http::WireError) shape.
     pub fn error(status: u16, kind: &str, message: impl Into<String>) -> Self {
         #[derive(serde::Serialize)]
         struct ErrorBody {
-            error: crate::server::WireError,
+            error: crate::http::WireError,
         }
         let body = ErrorBody {
-            error: crate::server::WireError {
+            error: crate::http::WireError {
                 kind: kind.to_string(),
                 message: message.into(),
             },
@@ -58,6 +61,18 @@ impl HttpResponse {
             status,
             serde_json::to_string(&body).expect("error serializes"),
         )
+    }
+
+    /// A service error: unknown schemas and fingerprints are `404`, bad
+    /// requests and algorithm failures `400`.
+    pub fn service_error(e: &ServiceError) -> Self {
+        let (status, kind) = match e {
+            ServiceError::UnknownSchema(_) => (404, "unknown_schema"),
+            ServiceError::UnknownFingerprint(_) => (404, "unknown_fingerprint"),
+            ServiceError::BadRequest(_) => (400, "bad_request"),
+            ServiceError::Algo(_) => (400, "algo"),
+        };
+        Self::error(status, kind, e.to_string())
     }
 
     /// Serialize onto `out`. `keep_alive` is what the request negotiated;

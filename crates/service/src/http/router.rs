@@ -6,68 +6,37 @@
 //! | `POST /v1/summary` | flat summary via the worker pool |
 //! | `POST /v1/levels` | multi-level summary via the worker pool |
 //! | `POST /v1/expand` | drill-down via the worker pool |
-//! | `GET /v1/export/:schema` | condensed summary export (JSON/markdown) |
+//! | `GET /v1/export/:schema` | condensed summary export (JSON/markdown) via the worker pool |
 //! | `GET /metrics` | Prometheus text exposition |
 //! | `GET /healthz` | liveness probe |
 //! | `GET /admin/cache` | resident cache entries + stats |
 //! | `POST /admin/evict` | drop one fingerprint's cached results |
 //! | `POST /admin/refresh` | diff two schemas, refresh warm where possible |
 //!
-//! Summary computation always goes through the caller-supplied `execute`
-//! hook (the bounded worker pool with its timeout), so HTTP clients get
-//! the same load-shedding semantics as the line-JSON protocol: `503` when
-//! the queue is full, `504` on per-request timeout. Inspection endpoints
-//! answer inline — they read counters, not matrices.
+//! Every route that computes a summary — the three summary routes and
+//! export — runs it through the node's one pooled hook
+//! ([`Node::execute`]): `503` when the queue is full, `504` past the
+//! per-request budget. Inspection endpoints answer inline — they read
+//! counters, not matrices — and so do the admin mutations.
 
 use crate::http::fanout::{Fanout, FANOUT_HEADER};
 use crate::http::metrics;
 use crate::http::request::HttpRequest;
 use crate::http::response::HttpResponse;
-use crate::server::service_error_kind;
-use crate::service::{ServedReply, ServiceError, SummaryRequest, SummaryService};
+use crate::http::server::Node;
+use crate::service::{ServedReply, SummaryRequest, SummaryService};
 use schema_summary_algo::Algorithm;
 use schema_summary_core::SchemaFingerprint;
-use std::sync::Arc;
-use std::time::Duration;
-
-/// How a pooled execution ended.
-pub(crate) enum ExecOutcome {
-    /// The worker answered (successfully or with a service error).
-    Done(Result<ServedReply, ServiceError>),
-    /// The admission queue was full; nothing ran.
-    Overloaded,
-    /// The worker did not answer within the budget (it keeps running and
-    /// warms the cache for the next attempt).
-    TimedOut(Duration),
-    /// The worker dropped the reply channel (a bug or a poisoned worker).
-    Lost,
-}
-
-/// Everything a route handler may touch.
-pub(crate) struct RouteContext<'a> {
-    pub service: &'a Arc<SummaryService>,
-    pub http_stats: crate::http::HttpServerStats,
-    pub execute: &'a dyn Fn(SummaryRequest) -> ExecOutcome,
-    /// Peer broadcaster for admin mutations (`None` without peers).
-    pub fanout: Option<&'a Fanout>,
-}
 
 /// Re-broadcast a locally applied admin mutation to the peers — unless
 /// this request *was* a broadcast (the marker header stops loops) or
 /// the local application failed (propagating a rejected mutation would
 /// desynchronize peers from their own error handling).
-fn propagate(ctx: &RouteContext<'_>, req: &HttpRequest, response: &HttpResponse) {
+fn propagate(node: &Node, req: &HttpRequest, response: &HttpResponse) {
     if response.status == 200 && req.header(FANOUT_HEADER).is_none() {
-        if let Some(fanout) = ctx.fanout {
+        if let Some(fanout) = &node.fanout {
             fanout.broadcast(req.path(), &req.body);
         }
-    }
-}
-
-fn status_of(e: &ServiceError) -> u16 {
-    match e {
-        ServiceError::UnknownSchema(_) | ServiceError::UnknownFingerprint(_) => 404,
-        ServiceError::BadRequest(_) | ServiceError::Algo(_) => 400,
     }
 }
 
@@ -82,22 +51,6 @@ fn reply_json(reply: &ServedReply) -> String {
         ServedReply::Expansion(exp) => {
             serde_json::to_string(&exp.result).expect("expansion serializes")
         }
-    }
-}
-
-/// Run one summarize-shaped request through the pool and render the
-/// outcome.
-fn run_pooled(ctx: &RouteContext<'_>, request: SummaryRequest) -> HttpResponse {
-    match (ctx.execute)(request) {
-        ExecOutcome::Done(Ok(reply)) => HttpResponse::json(200, reply_json(&reply)),
-        ExecOutcome::Done(Err(e)) => {
-            HttpResponse::error(status_of(&e), service_error_kind(&e), format!("{e}"))
-        }
-        ExecOutcome::Overloaded => HttpResponse::error(503, "overloaded", "request queue is full"),
-        ExecOutcome::TimedOut(budget) => {
-            HttpResponse::error(504, "timeout", format!("request exceeded {budget:?}"))
-        }
-        ExecOutcome::Lost => HttpResponse::error(500, "internal", "worker dropped the request"),
     }
 }
 
@@ -161,12 +114,12 @@ fn query_params(query: Option<&str>) -> Vec<(String, String)> {
         .collect()
 }
 
-fn export(ctx: &RouteContext<'_>, req: &HttpRequest) -> HttpResponse {
+fn export(node: &Node, req: &HttpRequest) -> HttpResponse {
     let target = req.path().trim_start_matches("/v1/export/");
     if target.is_empty() || target.contains('/') {
         return HttpResponse::error(404, "not_found", "export target missing");
     }
-    let fingerprint = match resolve_export_target(ctx.service, target) {
+    let fingerprint = match resolve_export_target(&node.service, target) {
         Ok(fp) => fp,
         Err(resp) => return resp,
     };
@@ -185,33 +138,36 @@ fn export(ctx: &RouteContext<'_>, req: &HttpRequest) -> HttpResponse {
         Ok(k) => k,
         Err(_) => return HttpResponse::error(400, "bad_request", "k must be a positive integer"),
     };
-    let format = get("format").unwrap_or("json");
-    let export = match ctx.service.export_summary(fingerprint, algorithm, k) {
-        Ok(e) => e,
-        Err(e) => {
-            return HttpResponse::error(status_of(&e), service_error_kind(&e), format!("{e}"))
+    let markdown = match get("format").unwrap_or("json") {
+        "json" => false,
+        "markdown" | "md" => true,
+        other => {
+            return HttpResponse::error(400, "bad_request", format!("unknown format '{other}'"))
         }
     };
-    match format {
-        "json" => HttpResponse::json(200, export.to_json()),
-        "markdown" | "md" => {
-            let mut resp = HttpResponse::text(200, export.to_markdown());
-            resp.content_type = "text/markdown; charset=utf-8";
-            resp
-        }
-        other => HttpResponse::error(400, "bad_request", format!("unknown format '{other}'")),
+    let export =
+        match node.execute(move |service| service.export_summary(fingerprint, algorithm, k)) {
+            Ok(export) => export,
+            Err(resp) => return resp,
+        };
+    if markdown {
+        let mut resp = HttpResponse::text(200, export.to_markdown());
+        resp.content_type = "text/markdown; charset=utf-8";
+        resp
+    } else {
+        HttpResponse::json(200, export.to_json())
     }
 }
 
-fn admin_cache(ctx: &RouteContext<'_>) -> HttpResponse {
+fn admin_cache(service: &SummaryService) -> HttpResponse {
     #[derive(serde::Serialize)]
     struct AdminCacheView {
         stats: crate::service::CacheStats,
         entries: Vec<crate::service::CacheEntryInfo>,
     }
     let view = AdminCacheView {
-        stats: ctx.service.cache_stats(),
-        entries: ctx.service.cached_entries(),
+        stats: service.cache_stats(),
+        entries: service.cached_entries(),
     };
     HttpResponse::json(
         200,
@@ -219,7 +175,7 @@ fn admin_cache(ctx: &RouteContext<'_>) -> HttpResponse {
     )
 }
 
-fn admin_evict(ctx: &RouteContext<'_>, body: &[u8]) -> HttpResponse {
+fn admin_evict(service: &SummaryService, body: &[u8]) -> HttpResponse {
     #[derive(serde::Deserialize)]
     struct EvictRequest {
         fingerprint: Option<String>,
@@ -236,7 +192,7 @@ fn admin_evict(ctx: &RouteContext<'_>, body: &[u8]) -> HttpResponse {
                 return HttpResponse::error(400, "bad_request", "fingerprint is not 32 hex digits")
             }
         },
-        (None, Some(name)) => match ctx.service.fingerprint_of(name) {
+        (None, Some(name)) => match service.fingerprint_of(name) {
             Some(fp) => fp,
             None => {
                 return HttpResponse::error(
@@ -250,7 +206,7 @@ fn admin_evict(ctx: &RouteContext<'_>, body: &[u8]) -> HttpResponse {
             return HttpResponse::error(400, "bad_request", "name a fingerprint or a schema")
         }
     };
-    let evicted = ctx.service.evict_fingerprint(fingerprint);
+    let evicted = service.evict_fingerprint(fingerprint);
     #[derive(serde::Serialize)]
     struct EvictReply {
         fingerprint: String,
@@ -285,7 +241,7 @@ fn resolve_refresh_target(
     })
 }
 
-fn admin_refresh(ctx: &RouteContext<'_>, body: &[u8]) -> HttpResponse {
+fn admin_refresh(service: &SummaryService, body: &[u8]) -> HttpResponse {
     #[derive(serde::Deserialize)]
     struct RefreshRequest {
         old: Option<String>,
@@ -298,22 +254,20 @@ fn admin_refresh(ctx: &RouteContext<'_>, body: &[u8]) -> HttpResponse {
     let (Some(old), Some(new)) = (&request.old, &request.new) else {
         return HttpResponse::error(400, "bad_request", "name both old and new schemas");
     };
-    let old_fp = match resolve_refresh_target(ctx.service, old, "old") {
+    let old_fp = match resolve_refresh_target(service, old, "old") {
         Ok(fp) => fp,
         Err(resp) => return resp,
     };
-    let new_fp = match resolve_refresh_target(ctx.service, new, "new") {
+    let new_fp = match resolve_refresh_target(service, new, "new") {
         Ok(fp) => fp,
         Err(resp) => return resp,
     };
-    let stats_before = ctx.service.cache_stats();
-    let delta = match ctx.service.refresh_between(old_fp, new_fp) {
+    let stats_before = service.cache_stats();
+    let delta = match service.refresh_between(old_fp, new_fp) {
         Ok(d) => d,
-        Err(e) => {
-            return HttpResponse::error(status_of(&e), service_error_kind(&e), format!("{e}"))
-        }
+        Err(e) => return HttpResponse::service_error(&e),
     };
-    let stats_after = ctx.service.cache_stats();
+    let stats_after = service.cache_stats();
     #[derive(serde::Serialize)]
     struct RefreshReply {
         old: String,
@@ -341,12 +295,14 @@ fn admin_refresh(ctx: &RouteContext<'_>, body: &[u8]) -> HttpResponse {
 }
 
 /// Route one parsed request.
-pub(crate) fn route(ctx: &RouteContext<'_>, req: &HttpRequest) -> HttpResponse {
+pub(crate) fn route(node: &Node, req: &HttpRequest) -> HttpResponse {
     let path = req.path();
     match (req.method.as_str(), path) {
         ("POST", "/v1/summary" | "/v1/levels" | "/v1/expand") => {
-            match summary_body(path, &req.body) {
-                Ok(request) => run_pooled(ctx, request),
+            let reply = summary_body(path, &req.body)
+                .and_then(|request| node.execute(move |service| service.handle_request(&request)));
+            match reply {
+                Ok(reply) => HttpResponse::json(200, reply_json(&reply)),
                 Err(resp) => resp,
             }
         }
@@ -354,27 +310,27 @@ pub(crate) fn route(ctx: &RouteContext<'_>, req: &HttpRequest) -> HttpResponse {
             200,
             format!(
                 "ok role=node peers={}\n",
-                ctx.fanout.map_or(0, Fanout::peer_count)
+                node.fanout.as_ref().map_or(0, Fanout::peer_count)
             ),
         ),
         ("GET", "/metrics") => HttpResponse::text(
             200,
             metrics::render(
-                &ctx.service.cache_stats(),
-                &ctx.service.catalog_stats(),
-                &ctx.http_stats,
+                &node.service.cache_stats(),
+                &node.service.catalog_stats(),
+                &node.stats(),
             ),
         ),
-        ("GET", p) if p.starts_with("/v1/export/") => export(ctx, req),
-        ("GET", "/admin/cache") => admin_cache(ctx),
+        ("GET", p) if p.starts_with("/v1/export/") => export(node, req),
+        ("GET", "/admin/cache") => admin_cache(&node.service),
         ("POST", "/admin/evict") => {
-            let response = admin_evict(ctx, &req.body);
-            propagate(ctx, req, &response);
+            let response = admin_evict(&node.service, &req.body);
+            propagate(node, req, &response);
             response
         }
         ("POST", "/admin/refresh") => {
-            let response = admin_refresh(ctx, &req.body);
-            propagate(ctx, req, &response);
+            let response = admin_refresh(&node.service, &req.body);
+            propagate(node, req, &response);
             response
         }
         // Known paths with the wrong method are 405 with an `Allow`

@@ -1,163 +1,94 @@
-//! The HTTP/1.1 server: per-connection keep-alive loop over the shared
-//! listener plumbing, with summary computation on the bounded worker
-//! pool.
-//!
-//! Each connection gets a thread (same model as the line-JSON server)
-//! that reads into a buffer, parses requests incrementally, and answers
-//! in order. Reads poll with a short timeout so the thread notices
-//! shutdown; a request already fully received is always answered before
-//! the connection closes. Parse failures are terminal: the mapped status
-//! (`400`/`413`/`431`/`505`) is written with `Connection: close` and the
-//! connection ends, because the byte stream can no longer be trusted to
-//! be request-aligned.
+//! The node's HTTP front-end: the routes of [`router`](super::router)
+//! on the shared connection layer (`listener.rs`), with every summary
+//! computation on the bounded worker pool (`503` when its queue is full,
+//! `504` past the request budget).
 
 use crate::http::fanout::Fanout;
-use crate::http::request::{parse_request, ParseError, ParseOutcome};
+use crate::http::request::HttpRequest;
 use crate::http::response::HttpResponse;
-use crate::http::router::{route, ExecOutcome, RouteContext};
+use crate::http::router::route;
 use crate::http::{HttpConfig, HttpServerStats};
-use crate::listener::{accept_loop, ConnectionPlumbing, POLL_INTERVAL};
+use crate::listener::{Connections, Frontend, Listener};
 use crate::pool::WorkerPool;
-use crate::service::{SummaryRequest, SummaryService};
-use std::io::{ErrorKind, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use crate::service::{ServiceError, SummaryService};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::Duration;
 
-struct Inner {
-    service: Arc<SummaryService>,
-    config: HttpConfig,
+/// What a node answers with: the service, its worker pool, and counters.
+pub(crate) struct Node {
+    pub service: Arc<SummaryService>,
     pool: WorkerPool,
-    plumbing: Arc<ConnectionPlumbing>,
-    served: AtomicU64,
+    request_timeout: Duration,
+    connections: Arc<Connections>,
     timed_out: AtomicU64,
     /// Peer broadcaster for admin mutations; `None` without `--peer`s.
-    fanout: Option<Fanout>,
+    pub fanout: Option<Fanout>,
 }
 
-impl Inner {
-    fn stats(&self) -> HttpServerStats {
+impl Node {
+    pub fn stats(&self) -> HttpServerStats {
         HttpServerStats {
-            accepted: self.plumbing.accepted(),
-            served: self.served.load(Ordering::Relaxed),
-            shed: self.plumbing.shed(),
+            accepted: self.connections.accepted(),
+            served: self.connections.served(),
+            shed: self.connections.shed(),
             timed_out: self.timed_out.load(Ordering::Relaxed),
-            active_connections: self.plumbing.active(),
+            active_connections: self.connections.active(),
             fanout_sent: self.fanout.as_ref().map_or(0, Fanout::sent),
             fanout_failed: self.fanout.as_ref().map_or(0, Fanout::failed),
         }
     }
 
-    /// Run one summary request on the worker pool, waiting up to the
-    /// request timeout.
-    fn execute(&self, request: SummaryRequest) -> ExecOutcome {
+    /// Run `job` on the worker pool, waiting up to the request budget.
+    /// A full queue, a timeout (the job keeps running and warms the cache
+    /// for the next attempt), a dropped job and a service error come back
+    /// as the response to send.
+    pub fn execute<T: Send + 'static>(
+        &self,
+        job: impl FnOnce(&SummaryService) -> Result<T, ServiceError> + Send + 'static,
+    ) -> Result<T, HttpResponse> {
         let (tx, rx) = mpsc::channel();
         let service = Arc::clone(&self.service);
         let admitted = self.pool.try_execute(move || {
-            let _ = tx.send(service.handle_request(&request));
+            let _ = tx.send(job(&service));
         });
         if admitted.is_err() {
-            self.plumbing.count_shed();
-            return ExecOutcome::Overloaded;
+            self.connections.count_shed();
+            return Err(HttpResponse::error(
+                503,
+                "overloaded",
+                "request queue is full",
+            ));
         }
-        match rx.recv_timeout(self.config.request_timeout) {
-            Ok(result) => ExecOutcome::Done(result),
+        match rx.recv_timeout(self.request_timeout) {
+            Ok(result) => result.map_err(|e| HttpResponse::service_error(&e)),
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 self.timed_out.fetch_add(1, Ordering::Relaxed);
-                ExecOutcome::TimedOut(self.config.request_timeout)
+                Err(HttpResponse::error(
+                    504,
+                    "timeout",
+                    format!("request exceeded {:?}", self.request_timeout),
+                ))
             }
-            Err(mpsc::RecvTimeoutError::Disconnected) => ExecOutcome::Lost,
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(HttpResponse::error(
+                500,
+                "internal",
+                "worker dropped the request",
+            )),
         }
-    }
-
-    /// Answer one parsed request and emit the audit line.
-    fn respond(&self, peer: &str, req: &crate::http::request::HttpRequest) -> HttpResponse {
-        let started = Instant::now();
-        let ctx = RouteContext {
-            service: &self.service,
-            http_stats: self.stats(),
-            execute: &|request| self.execute(request),
-            fanout: self.fanout.as_ref(),
-        };
-        let response = route(&ctx, req);
-        self.served.fetch_add(1, Ordering::Relaxed);
-        if self.config.log_requests {
-            eprintln!(
-                "http {peer} \"{} {}\" {} {}us",
-                req.method,
-                req.target,
-                response.status,
-                started.elapsed().as_micros()
-            );
-        }
-        response
     }
 }
 
-fn parse_error_response(e: ParseError) -> HttpResponse {
-    let mut resp = match e {
-        ParseError::Malformed(detail) => HttpResponse::error(400, "malformed", detail),
-        ParseError::HeadTooLarge => HttpResponse::error(
-            431,
-            "headers_too_large",
-            "request head exceeds the byte limit",
-        ),
-        ParseError::BodyTooLarge => {
-            HttpResponse::error(413, "body_too_large", "request body exceeds the byte limit")
-        }
-        ParseError::UnsupportedVersion => {
-            HttpResponse::error(505, "unsupported_version", "only HTTP/1.0 and HTTP/1.1")
-        }
-    };
-    resp.close = true;
-    resp
-}
+impl Frontend for Node {
+    const ROLE: &'static str = "http";
 
-/// Serve one connection until close, error, or shutdown.
-fn handle_connection(inner: &Inner, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let _ = stream.set_nodelay(true);
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "-".to_string());
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        // Answer every complete request already buffered.
-        loop {
-            match parse_request(&pending) {
-                ParseOutcome::Complete(request, consumed) => {
-                    pending.drain(..consumed);
-                    let response = inner.respond(&peer, &request);
-                    let keep_alive = request.keep_alive() && !response.must_close();
-                    if response.write_to(&mut stream, keep_alive).is_err() || !keep_alive {
-                        return;
-                    }
-                }
-                ParseOutcome::Failed(e) => {
-                    if inner.config.log_requests {
-                        eprintln!("http {peer} \"<unparseable>\" {e:?}");
-                    }
-                    inner.served.fetch_add(1, Ordering::Relaxed);
-                    let _ = parse_error_response(e).write_to(&mut stream, false);
-                    return;
-                }
-                ParseOutcome::Incomplete => break,
-            }
-        }
-        if inner.plumbing.stopping() {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => pending.extend_from_slice(&chunk[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
+    fn respond(&self, request: &HttpRequest) -> HttpResponse {
+        route(self, request)
+    }
+
+    fn stop(&self) {
+        self.pool.shutdown();
     }
 }
 
@@ -167,9 +98,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream) {
 /// [`HttpServer::local_addr`], and stop with [`HttpServer::shutdown`]
 /// (or drop the server, which shuts down too).
 pub struct HttpServer {
-    inner: Arc<Inner>,
-    addr: SocketAddr,
-    accept_thread: Option<JoinHandle<()>>,
+    listener: Listener<Node>,
 }
 
 impl HttpServer {
@@ -180,92 +109,50 @@ impl HttpServer {
         service: Arc<SummaryService>,
         config: HttpConfig,
     ) -> std::io::Result<HttpServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let fanout = if config.peers.is_empty() {
-            None
-        } else {
-            Some(Fanout::new(config.peers.clone(), config.request_timeout))
-        };
-        let inner = Arc::new(Inner {
-            service,
-            pool: WorkerPool::new(config.workers, config.queue_capacity),
-            plumbing: Arc::new(ConnectionPlumbing::new(config.max_connections)),
-            config,
-            served: AtomicU64::new(0),
-            timed_out: AtomicU64::new(0),
-            fanout,
-        });
-        let accept_inner = Arc::clone(&inner);
-        let accept_thread = std::thread::spawn(move || {
-            let serve_inner = Arc::clone(&accept_inner);
-            let serve: Arc<dyn Fn(TcpStream) + Send + Sync> =
-                Arc::new(move |stream| handle_connection(&serve_inner, stream));
-            accept_loop(
-                &accept_inner.plumbing,
-                listener,
-                |mut stream| {
-                    let mut resp =
-                        HttpResponse::error(503, "overloaded", "connection limit reached");
-                    resp.close = true;
-                    let _ = resp.write_to(&mut stream, false);
-                },
-                serve,
-            );
-        });
-        Ok(HttpServer {
-            inner,
+        let listener = Listener::bind(
             addr,
-            accept_thread: Some(accept_thread),
-        })
+            config.max_connections,
+            config.log_requests,
+            |connections| Node {
+                service,
+                pool: WorkerPool::new(config.workers, config.queue_capacity),
+                request_timeout: config.request_timeout,
+                connections,
+                timed_out: AtomicU64::new(0),
+                fanout: (!config.peers.is_empty())
+                    .then(|| Fanout::new(config.peers, config.request_timeout)),
+            },
+        )?;
+        Ok(HttpServer { listener })
     }
 
     /// The bound address (with the real port when bound to port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// Current server counters.
     pub fn stats(&self) -> HttpServerStats {
-        self.inner.stats()
+        self.listener.frontend().stats()
     }
 
     /// The service this server fronts.
     pub fn service(&self) -> &Arc<SummaryService> {
-        &self.inner.service
+        &self.listener.frontend().service
     }
 
     /// Block on the accept loop (which runs until shutdown or a listener
     /// failure). Used by the CLI's `serve --http`; connections keep being
     /// served while this blocks.
-    pub fn wait(mut self) {
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+    pub fn wait(self) {
+        self.listener.wait();
     }
 
     /// Graceful shutdown: stop accepting, answer every request already
     /// read from open connections, drain the worker queue, join all
     /// threads. Returns the final counters.
     pub fn shutdown(mut self) -> HttpServerStats {
-        self.shutdown_in_place();
-        self.inner.stats()
-    }
-
-    fn shutdown_in_place(&mut self) {
-        self.inner.plumbing.begin_shutdown(self.addr);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        self.inner.plumbing.join_connections();
-        self.inner.pool.shutdown();
-    }
-}
-
-impl Drop for HttpServer {
-    fn drop(&mut self) {
-        if self.accept_thread.is_some() {
-            self.shutdown_in_place();
-        }
+        self.listener.shutdown();
+        self.stats()
     }
 }

@@ -31,11 +31,14 @@
 //!   including spilled files — instead of flushing the world;
 //! * cold computations are deduplicated per key (single-flight): N
 //!   threads missing on the same key run the algorithm exactly once;
-//! * [`SummaryServer`] fronts the service over TCP — line-delimited JSON
-//!   with request pipelining, a bounded worker queue that sheds load with
-//!   structured `overloaded` errors, per-request timeouts, a connection
-//!   cap, and graceful shutdown (standard library only, no async
-//!   runtime).
+//! * HTTP/1.1 is the one wire format. [`HttpServer`] fronts a node's
+//!   service and [`ClusterRouter`] proxies a cluster of nodes; both run
+//!   on one connection layer (keep-alive with request pipelining, the
+//!   node's `400`/`413`/`431`/`505` for unparseable requests, a
+//!   connection cap, graceful shutdown), and a node computes every
+//!   summary on a bounded worker queue that sheds load with `503
+//!   overloaded` and answers `504` past its per-request timeout
+//!   (standard library only, no async runtime).
 //!
 //! # Example
 //!
@@ -71,15 +74,13 @@ pub mod http;
 mod listener;
 mod lru;
 mod pool;
-pub mod server;
 pub mod service;
 mod store;
 
 pub use catalog::{Artifacts, CatalogEntry, SchemaCatalog};
 pub use cluster::{ClusterRouter, ProbeConfig, RendezvousRing, RouterConfig, RouterStats};
 pub use export::{ExportElement, SummaryExport};
-pub use http::{HttpConfig, HttpServer, HttpServerStats};
-pub use server::{ServerConfig, ServerReply, ServerStats, SummaryServer, WireError};
+pub use http::{HttpConfig, HttpServer, HttpServerStats, WireError};
 pub use service::{
     CacheEntryInfo, CacheStats, CatalogStats, ExpandResult, ExpandSpec, GroupView, LevelView,
     MultiLevelArtifact, MultiLevelResult, ServedExpansion, ServedMultiLevel, ServedReply,

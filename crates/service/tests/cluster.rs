@@ -3,6 +3,9 @@
 //! when the owner dies, catalog rehydration after a node restart, and
 //! cross-node invalidation fan-out with loop prevention.
 
+mod common;
+
+use common::{build_service, Client};
 use proptest::prelude::*;
 use schema_summary_algo::Algorithm;
 use schema_summary_datasets::{tpch, xmark};
@@ -10,9 +13,6 @@ use schema_summary_service::{
     ClusterRouter, HttpConfig, HttpServer, ProbeConfig, RendezvousRing, RouterConfig,
     ServiceConfig, SummaryService,
 };
-use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,15 +30,6 @@ fn fresh_store_dir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-fn build_service() -> Arc<SummaryService> {
-    let service = SummaryService::default();
-    let (xg, xs, _) = xmark::schema(1.0);
-    let (tg, ts, _) = tpch::schema(1.0);
-    service.register_named("xmark", Arc::new(xg), Arc::new(xs));
-    service.register_named("tpch", Arc::new(tg), Arc::new(ts));
-    Arc::new(service)
 }
 
 fn node_config() -> HttpConfig {
@@ -77,102 +68,6 @@ fn router_over(nodes: Vec<String>) -> ClusterRouter {
         },
     )
     .unwrap()
-}
-
-/// A parsed HTTP response off the wire (same minimal client as the
-/// http_api tests: raw TCP so keep-alive and headers stay visible).
-#[derive(Debug)]
-struct Response {
-    status: u16,
-    body: Vec<u8>,
-}
-
-impl Response {
-    fn text(&self) -> &str {
-        std::str::from_utf8(&self.body).expect("body is UTF-8")
-    }
-}
-
-struct Client {
-    stream: TcpStream,
-    pending: Vec<u8>,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Self {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        Client {
-            stream,
-            pending: Vec::new(),
-        }
-    }
-
-    fn request(&mut self, method: &str, target: &str, extra: &str, body: Option<&str>) -> Response {
-        let raw = match body {
-            Some(b) => format!(
-                "{method} {target} HTTP/1.1\r\nHost: test\r\n{extra}Content-Length: {}\r\n\r\n{b}",
-                b.len()
-            ),
-            None => format!("{method} {target} HTTP/1.1\r\nHost: test\r\n{extra}\r\n"),
-        };
-        self.stream.write_all(raw.as_bytes()).unwrap();
-        self.stream.flush().unwrap();
-        self.read_response()
-    }
-
-    fn get(&mut self, target: &str) -> Response {
-        self.request("GET", target, "", None)
-    }
-
-    fn post(&mut self, target: &str, body: &str) -> Response {
-        self.request("POST", target, "", Some(body))
-    }
-
-    fn read_response(&mut self) -> Response {
-        let mut chunk = [0u8; 4096];
-        loop {
-            if let Some(head_end) = find(&self.pending, b"\r\n\r\n") {
-                let head = std::str::from_utf8(&self.pending[..head_end]).unwrap();
-                let mut lines = head.split("\r\n");
-                let status: u16 = lines
-                    .next()
-                    .unwrap()
-                    .split_whitespace()
-                    .nth(1)
-                    .unwrap()
-                    .parse()
-                    .unwrap();
-                let headers: HashMap<String, String> = lines
-                    .filter_map(|l| l.split_once(':'))
-                    .map(|(k, v)| (k.to_ascii_lowercase(), v.trim().to_string()))
-                    .collect();
-                let len: usize = headers
-                    .get("content-length")
-                    .expect("every response carries Content-Length")
-                    .parse()
-                    .unwrap();
-                let body_start = head_end + 4;
-                while self.pending.len() < body_start + len {
-                    let n = self.stream.read(&mut chunk).unwrap();
-                    assert!(n > 0, "EOF mid-body");
-                    self.pending.extend_from_slice(&chunk[..n]);
-                }
-                let body = self.pending[body_start..body_start + len].to_vec();
-                self.pending.drain(..body_start + len);
-                return Response { status, body };
-            }
-            let n = self.stream.read(&mut chunk).unwrap();
-            assert!(n > 0, "EOF before response head");
-            self.pending.extend_from_slice(&chunk[..n]);
-        }
-    }
-}
-
-fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack.windows(needle.len()).position(|w| w == needle)
 }
 
 // -------------------------------------------------- rendezvous properties
@@ -339,6 +234,45 @@ fn killing_the_owner_fails_over_without_client_visible_errors() {
 
     router.shutdown();
     servers[survivor].take().unwrap().shutdown();
+}
+
+/// A request the router cannot parse gets the status a node would give
+/// it, with `Connection: close`: both run the same connection layer.
+#[test]
+fn router_maps_unparseable_requests_like_a_node() {
+    let (node, addr) = bind_node(build_service(), node_config());
+    let router = router_over(vec![addr]);
+    let padding = "x".repeat(9 * 1024);
+    let cases: [(String, u16, &str); 3] = [
+        (
+            format!("GET /healthz HTTP/1.1\r\nX-Padding: {padding}\r\n\r\n"),
+            431,
+            "headers_too_large",
+        ),
+        (
+            "POST /v1/summary HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n".to_string(),
+            413,
+            "body_too_large",
+        ),
+        (
+            "GET /healthz HTTP/2.0\r\n\r\n".to_string(),
+            505,
+            "unsupported_version",
+        ),
+    ];
+    for (raw, status, kind) in cases {
+        let mut client = Client::connect(router.local_addr());
+        client.send_raw(raw.as_bytes());
+        let reply = client.read_response();
+        assert_eq!(reply.status, status, "{}", reply.text());
+        assert_eq!(reply.error().kind, kind);
+        assert_eq!(reply.header("connection"), Some("close"));
+        client.assert_eof();
+    }
+    let stats = router.shutdown();
+    assert_eq!(stats.served, 3);
+    assert_eq!(stats.routed, vec![0]);
+    node.shutdown();
 }
 
 // ----------------------------------------------------- catalog persistence

@@ -2,22 +2,14 @@
 //! framing limits, keep-alive reuse, the Prometheus metrics plane, and
 //! the admin evict round-trip.
 
-use schema_summary_datasets::{tpch, xmark};
-use schema_summary_service::{HttpConfig, HttpServer, SummaryRequest, SummaryService};
-use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
-use std::time::Duration;
+mod common;
 
-fn build_service() -> Arc<SummaryService> {
-    let service = SummaryService::default();
-    let (xg, xs, _) = xmark::schema(1.0);
-    let (tg, ts, _) = tpch::schema(1.0);
-    service.register_named("xmark", Arc::new(xg), Arc::new(xs));
-    service.register_named("tpch", Arc::new(tg), Arc::new(ts));
-    Arc::new(service)
-}
+use common::{assert_refuses_connections, build_service, Client};
+use schema_summary_datasets::xmark;
+use schema_summary_service::{HttpConfig, HttpServer, SummaryRequest, SummaryService};
+use std::net::TcpStream;
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 fn bind(config: HttpConfig) -> HttpServer {
     HttpServer::bind("127.0.0.1:0", build_service(), config).unwrap()
@@ -32,135 +24,6 @@ fn default_config() -> HttpConfig {
         log_requests: false,
         peers: Vec::new(),
     }
-}
-
-/// A parsed HTTP response off the wire.
-#[derive(Debug)]
-struct Response {
-    status: u16,
-    headers: HashMap<String, String>,
-    body: Vec<u8>,
-}
-
-impl Response {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .get(&name.to_ascii_lowercase())
-            .map(String::as_str)
-    }
-
-    fn text(&self) -> &str {
-        std::str::from_utf8(&self.body).expect("body is UTF-8")
-    }
-}
-
-/// A raw HTTP client over one TCP connection, so keep-alive reuse is
-/// under test control (no helper library, nothing buffers ahead).
-struct Client {
-    stream: TcpStream,
-    pending: Vec<u8>,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Self {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        Client {
-            stream,
-            pending: Vec::new(),
-        }
-    }
-
-    fn send_raw(&mut self, raw: &[u8]) {
-        self.stream.write_all(raw).unwrap();
-        self.stream.flush().unwrap();
-    }
-
-    /// Send one request with optional body; `extra` lets tests inject
-    /// headers like `Connection: close`.
-    fn request(&mut self, method: &str, target: &str, extra: &str, body: Option<&str>) -> Response {
-        let raw = match body {
-            Some(b) => format!(
-                "{method} {target} HTTP/1.1\r\nHost: test\r\n{extra}Content-Length: {}\r\n\r\n{b}",
-                b.len()
-            ),
-            None => format!("{method} {target} HTTP/1.1\r\nHost: test\r\n{extra}\r\n"),
-        };
-        self.send_raw(raw.as_bytes());
-        self.read_response()
-    }
-
-    fn get(&mut self, target: &str) -> Response {
-        self.request("GET", target, "", None)
-    }
-
-    fn post(&mut self, target: &str, body: &str) -> Response {
-        self.request("POST", target, "", Some(body))
-    }
-
-    /// Read exactly one response: head to the blank line, then
-    /// `Content-Length` body bytes (the server always sends a length).
-    fn read_response(&mut self) -> Response {
-        let mut chunk = [0u8; 4096];
-        loop {
-            if let Some(head_end) = find(&self.pending, b"\r\n\r\n") {
-                let head = std::str::from_utf8(&self.pending[..head_end]).unwrap();
-                let mut lines = head.split("\r\n");
-                let status_line = lines.next().unwrap();
-                assert!(
-                    status_line.starts_with("HTTP/1.1 "),
-                    "bad status line: {status_line}"
-                );
-                let status: u16 = status_line
-                    .split_whitespace()
-                    .nth(1)
-                    .unwrap()
-                    .parse()
-                    .unwrap();
-                let headers: HashMap<String, String> = lines
-                    .filter_map(|l| l.split_once(':'))
-                    .map(|(k, v)| (k.to_ascii_lowercase(), v.trim().to_string()))
-                    .collect();
-                let len: usize = headers
-                    .get("content-length")
-                    .expect("every response carries Content-Length")
-                    .parse()
-                    .unwrap();
-                let body_start = head_end + 4;
-                while self.pending.len() < body_start + len {
-                    let n = self.stream.read(&mut chunk).unwrap();
-                    assert!(n > 0, "EOF mid-body");
-                    self.pending.extend_from_slice(&chunk[..n]);
-                }
-                let body = self.pending[body_start..body_start + len].to_vec();
-                self.pending.drain(..body_start + len);
-                return Response {
-                    status,
-                    headers,
-                    body,
-                };
-            }
-            let n = self.stream.read(&mut chunk).unwrap();
-            assert!(n > 0, "EOF before response head");
-            self.pending.extend_from_slice(&chunk[..n]);
-        }
-    }
-
-    /// The server closed its end: reads return EOF (or reset).
-    fn assert_eof(&mut self) {
-        let mut chunk = [0u8; 64];
-        match self.stream.read(&mut chunk) {
-            Ok(0) => {}
-            Ok(n) => panic!("expected EOF, got {n} bytes"),
-            Err(_) => {} // reset also counts as closed
-        }
-    }
-}
-
-fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack.windows(needle.len()).position(|w| w == needle)
 }
 
 /// Pull one metric value out of a Prometheus text exposition.
@@ -371,13 +234,7 @@ fn connection_cap_sheds_with_a_503_and_closes() {
     // 503 and EOF without ever sending a request.
     let _holder = TcpStream::connect(server.local_addr()).unwrap();
     std::thread::sleep(Duration::from_millis(50));
-    let mut shed = Client {
-        stream: TcpStream::connect(server.local_addr()).unwrap(),
-        pending: Vec::new(),
-    };
-    shed.stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
+    let mut shed = Client::connect(server.local_addr());
     let reply = shed.read_response();
     assert_eq!(reply.status, 503);
     assert!(reply.text().contains("\"overloaded\""));
@@ -736,12 +593,80 @@ fn graceful_shutdown_answers_buffered_requests_and_refuses_new_ones() {
     assert_eq!(reply.status, 200);
     let stats = shutdown.join().unwrap();
     assert_eq!(stats.active_connections, 0);
+    assert_refuses_connections(addr);
+}
+
+/// One worker, a one-deep queue: an export is a summary computation, so
+/// it waits for the pool like the summary routes, and past the budget
+/// it answers `504` while the worker finishes it.
+fn starved_config(request_timeout: Duration) -> HttpConfig {
+    HttpConfig {
+        workers: 1,
+        queue_capacity: 1,
+        max_connections: 64,
+        request_timeout,
+        ..default_config()
+    }
+}
+
+#[test]
+fn cold_export_past_the_budget_answers_504() {
+    let server = bind(starved_config(Duration::from_millis(1)));
+    let mut client = Client::connect(server.local_addr());
+
+    let reply = client.get("/v1/export/xmark?algorithm=coverage&k=5");
+    assert_eq!(reply.status, 504, "{}", reply.text());
+    assert_eq!(reply.error().kind, "timeout");
+    assert!(server.stats().timed_out >= 1);
+
+    // The worker kept computing and warmed the cache, so a retry
+    // eventually answers within the same budget.
+    let served = (0..100).any(|_| {
+        std::thread::sleep(Duration::from_millis(50));
+        client.get("/v1/export/xmark?algorithm=coverage&k=5").status == 200
+    });
+    assert!(served, "the timed-out export must finish and serve warm");
+    server.shutdown();
+}
+
+#[test]
+fn concurrent_cold_exports_beyond_the_queue_are_shed_with_503() {
+    let server = bind(starved_config(Duration::from_secs(60)));
+    let addr = server.local_addr();
+
+    // Distinct k per client: distinct cache keys, so single-flight cannot
+    // collapse them, and the barrier sends them all at once.
+    const CLIENTS: usize = 16;
+    let start = Arc::new(Barrier::new(CLIENTS));
+    let handles: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr);
+                start.wait();
+                let reply = client.get(&format!("/v1/export/xmark?algorithm=coverage&k={}", c + 1));
+                match reply.status {
+                    200 => false,
+                    503 => {
+                        assert_eq!(reply.error().kind, "overloaded");
+                        true
+                    }
+                    other => panic!("unexpected {other}: {}", reply.text()),
+                }
+            })
+        })
+        .collect();
+    let shed_replies = handles
+        .into_iter()
+        .map(|h| h.join().expect("client panicked"))
+        .filter(|&was_shed| was_shed)
+        .count();
+
+    let stats = server.shutdown();
     assert!(
-        TcpStream::connect(addr).is_err() || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            let mut buf = [0u8; 16];
-            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            matches!(s.read(&mut buf), Ok(0) | Err(_))
-        }
+        shed_replies >= 1 && stats.shed as usize == shed_replies,
+        "{CLIENTS} simultaneous cold exports through a 1-deep queue must shed \
+         (clients saw {shed_replies}, server counted {})",
+        stats.shed
     );
 }

@@ -12,7 +12,7 @@
 //! schema-summary serve     (--xsd FILE | --ddl FILE) [--xml FILE]
 //!                          [--requests FILE] [--cache N] [--store-dir DIR]
 //!                          [--store-max-bytes N] [--delta-max-fraction F]
-//!                          [--listen ADDR] [--http ADDR] [--peer URL]...
+//!                          [--http ADDR] [--peer URL]...
 //!                          [--workers N] [--queue N] [--max-conns N]
 //!                          [--timeout-ms N] [--log-requests true]
 //! schema-summary route     --http ADDR --node URL [--node URL]...
@@ -30,9 +30,8 @@
 //! summary (the same shape `GET /v1/export/:schema` serves); `serve`
 //! answers a JSONL request stream from the caching service layer and
 //! reports per-request latency plus cache statistics — or, with
-//! `--listen`/`--http`, serves the line-delimited JSON protocol over TCP
-//! and/or HTTP/1.1 with a worker pool, bounded-queue load shedding,
-//! per-request timeouts, and a connection cap. `--store-dir` adds a
+//! `--http`, serves HTTP/1.1 with a worker pool, bounded-queue load
+//! shedding, per-request timeouts, and a connection cap. `--store-dir` adds a
 //! persistent artifact tier: computed matrices and summaries are spilled
 //! to disk and rehydrated on restart; `--store-max-bytes` caps it with
 //! oldest-first eviction. Requests may be flat
@@ -45,8 +44,8 @@ use schema_summary_io::{
     summary_to_markdown,
 };
 use schema_summary_service::{
-    ClusterRouter, HttpConfig, HttpServer, ProbeConfig, RouterConfig, ServedReply, ServerConfig,
-    ServiceConfig, SummaryRequest, SummaryServer, SummaryService,
+    ClusterRouter, HttpConfig, HttpServer, ProbeConfig, RouterConfig, ServedReply, ServiceConfig,
+    SummaryRequest, SummaryService,
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -114,7 +113,7 @@ USAGE:
                            [--ddl-next FILE]
                            [--requests FILE] [--cache N] [--store-dir DIR]
                            [--store-max-bytes N] [--delta-max-fraction F]
-                           [--listen ADDR] [--http ADDR] [--peer URL]...
+                           [--http ADDR] [--peer URL]...
                            [--workers N] [--queue N] [--max-conns N]
                            [--timeout-ms N] [--log-requests true]
   schema-summary route     --http ADDR --node URL [--node URL]...
@@ -160,18 +159,17 @@ OPTIONS:
                     (SQL DDL) under '<name>-next', so POST /admin/refresh
                     {\"old\":\"<name>\",\"new\":\"<name>-next\"} can migrate
                     cached results between the two versions warm
-  --listen ADDR     (serve) serve line-delimited JSON over TCP on ADDR
-                    (e.g. 127.0.0.1:7878) instead of a batch stream
   --http ADDR       (serve) serve the HTTP/1.1 API on ADDR (e.g.
-                    127.0.0.1:8080): POST /v1/summary|/v1/levels|/v1/expand,
+                    127.0.0.1:8080) instead of a batch stream:
+                    POST /v1/summary|/v1/levels|/v1/expand,
                     GET /v1/export/:schema, /metrics, /healthz,
-                    /admin/cache, POST /admin/evict; may be combined
-                    with --listen to run both front-ends on one cache
-  --workers N       (serve, socket) worker threads per server (default 4)
-  --queue N         (serve, socket) pending-request bound; excess requests
-                    get a structured 'overloaded' error (default 64)
-  --max-conns N     (serve, socket) concurrent connection cap (default 64)
-  --timeout-ms N    (serve, socket) per-request wall-clock budget in
+                    /admin/cache, POST /admin/evict|/admin/refresh
+  --workers N       (serve --http) worker threads (default 4)
+  --queue N         (serve --http) pending-request bound; excess requests
+                    get a structured 503 'overloaded' (default 64)
+  --max-conns N     (serve --http, route) concurrent connection cap
+                    (default 64)
+  --timeout-ms N    (serve --http, route) per-request wall-clock budget in
                     milliseconds (default 10000)
   --log-requests true
                     (serve --http, route) one-line audit record per
@@ -219,6 +217,28 @@ fn parse_opts(args: impl Iterator<Item = String>) -> Result<HashMap<String, Stri
         }
     }
     Ok(opts)
+}
+
+/// Reject a flag `command` does not read, naming it, so that a typo or a
+/// retired flag fails instead of being ignored (`-k` is stored as `k`).
+fn expect_flags(
+    command: &str,
+    opts: &HashMap<String, String>,
+    known: &[&str],
+) -> Result<(), String> {
+    match opts
+        .keys()
+        .filter(|key| !known.contains(&key.as_str()))
+        .min()
+    {
+        None => Ok(()),
+        Some(key) => {
+            let dashes = if key.len() == 1 { "-" } else { "--" };
+            Err(format!(
+                "'{command}' does not take {dashes}{key}; try 'schema-summary help'"
+            ))
+        }
+    }
 }
 
 /// Split a repeatable flag's accumulated value (`a,b,c`) into its items.
@@ -304,6 +324,7 @@ fn size_of(opts: &HashMap<String, String>) -> Result<usize, String> {
 }
 
 fn inspect(opts: &HashMap<String, String>) -> Result<(), String> {
+    expect_flags("inspect", opts, &["xsd", "ddl", "xml", "xsd-out"])?;
     let graph = load_schema(opts)?;
     let stats = load_stats(&graph, opts)?;
     let metrics = schema_summary::core::GraphMetrics::compute(&graph);
@@ -324,6 +345,22 @@ fn inspect(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn summarize(opts: &HashMap<String, String>) -> Result<(), String> {
+    expect_flags(
+        "summarize",
+        opts,
+        &[
+            "xsd",
+            "ddl",
+            "xml",
+            "k",
+            "algorithm",
+            "levels",
+            "explain",
+            "dot",
+            "md",
+            "json",
+        ],
+    )?;
     let graph = load_schema(opts)?;
     let stats = load_stats(&graph, opts)?;
     let k = size_of(opts)?;
@@ -382,6 +419,7 @@ fn summarize(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn discover(opts: &HashMap<String, String>) -> Result<(), String> {
+    expect_flags("discover", opts, &["xsd", "ddl", "xml", "k", "query"])?;
     let graph = load_schema(opts)?;
     let stats = load_stats(&graph, opts)?;
     let k = size_of(opts)?;
@@ -422,6 +460,35 @@ fn discover(opts: &HashMap<String, String>) -> Result<(), String> {
 /// stdin), printing per-request latency, cache disposition, and final
 /// cache statistics.
 fn serve(opts: &HashMap<String, String>) -> Result<(), String> {
+    // The batch driver reads `--requests`; the server flags apply only
+    // with `--http`.
+    let (command, mode_flags): (&str, &[&str]) = if opts.contains_key("http") {
+        (
+            "serve --http",
+            &[
+                "http",
+                "peer",
+                "workers",
+                "queue",
+                "max-conns",
+                "timeout-ms",
+                "log-requests",
+            ],
+        )
+    } else {
+        ("serve", &["requests"])
+    };
+    let common = [
+        "xsd",
+        "ddl",
+        "xml",
+        "ddl-next",
+        "cache",
+        "store-dir",
+        "store-max-bytes",
+        "delta-max-fraction",
+    ];
+    expect_flags(command, opts, &[&common[..], mode_flags].concat())?;
     let graph = Arc::new(load_schema(opts)?);
     let stats = Arc::new(load_stats(&graph, opts)?);
     let capacity = match opts.get("cache") {
@@ -470,8 +537,8 @@ fn serve(opts: &HashMap<String, String>) -> Result<(), String> {
         println!("registered evolved schema '{next_name}' (fingerprint {next_fp})");
     }
 
-    if opts.get("listen").is_some() || opts.get("http").is_some() {
-        return serve_socket(Arc::new(service), opts);
+    if let Some(addr) = opts.get("http") {
+        return serve_http(Arc::new(service), addr, opts);
     }
 
     let input = match opts.get("requests") {
@@ -594,14 +661,13 @@ fn serve(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Socket mode: front the service with a TCP server speaking the
-/// line-delimited JSON protocol (`--listen`), an HTTP/1.1 server
-/// (`--http`), or both on one shared cache, and block until the process
-/// is killed. Overload is shed with structured `overloaded` errors
-/// (HTTP: `503`); slow requests are answered with `timeout` errors
-/// (HTTP: `504`) while the computation finishes and warms the cache.
-fn serve_socket(
+/// HTTP mode: front the service with the HTTP/1.1 server and block
+/// until the process is killed. Overload is shed with `503 overloaded`;
+/// slow requests are answered `504` while the computation finishes and
+/// warms the cache.
+fn serve_http(
     service: Arc<SummaryService>,
+    addr: &str,
     opts: &HashMap<String, String>,
 ) -> Result<(), String> {
     let parse_usize = |key: &str, default: usize| -> Result<usize, String> {
@@ -612,54 +678,25 @@ fn serve_socket(
                 .map_err(|_| format!("invalid --{key} value '{v}'")),
         }
     };
-    let defaults = ServerConfig::default();
+    let defaults = HttpConfig::default();
     let timeout_ms = parse_usize("timeout-ms", defaults.request_timeout.as_millis() as usize)?;
     let workers = parse_usize("workers", defaults.workers)?;
     let queue_capacity = parse_usize("queue", defaults.queue_capacity)?;
     let max_connections = parse_usize("max-conns", defaults.max_connections)?;
-    let request_timeout = std::time::Duration::from_millis(timeout_ms as u64);
-
-    let http_server = match opts.get("http") {
-        None => None,
-        Some(addr) => {
-            let config = HttpConfig {
-                workers,
-                queue_capacity,
-                max_connections,
-                request_timeout,
-                log_requests: opts.get("log-requests").map(String::as_str) == Some("true"),
-                peers: opts.get("peer").map(|v| split_list(v)).unwrap_or_default(),
-            };
-            let server = HttpServer::bind(addr, Arc::clone(&service), config)
-                .map_err(|e| format!("{addr}: {e}"))?;
-            println!(
-                "http on {} ({workers} workers, queue {queue_capacity}, {max_connections} connections max, {timeout_ms}ms timeout)",
-                server.local_addr()
-            );
-            Some(server)
-        }
+    let config = HttpConfig {
+        workers,
+        queue_capacity,
+        max_connections,
+        request_timeout: std::time::Duration::from_millis(timeout_ms as u64),
+        log_requests: opts.get("log-requests").map(String::as_str) == Some("true"),
+        peers: opts.get("peer").map(|v| split_list(v)).unwrap_or_default(),
     };
-
-    if let Some(addr) = opts.get("listen") {
-        let config = ServerConfig {
-            workers,
-            queue_capacity,
-            max_connections,
-            request_timeout,
-        };
-        let server =
-            SummaryServer::bind(addr, service, config).map_err(|e| format!("{addr}: {e}"))?;
-        println!(
-            "listening on {} ({workers} workers, queue {queue_capacity}, {max_connections} connections max, {timeout_ms}ms timeout)",
-            server.local_addr()
-        );
-        server.wait();
-        return Ok(());
-    }
-
-    http_server
-        .expect("socket mode requires --listen or --http")
-        .wait();
+    let server = HttpServer::bind(addr, service, config).map_err(|e| format!("{addr}: {e}"))?;
+    println!(
+        "http on {} ({workers} workers, queue {queue_capacity}, {max_connections} connections max, {timeout_ms}ms timeout)",
+        server.local_addr()
+    );
+    server.wait();
     Ok(())
 }
 
@@ -668,6 +705,21 @@ fn serve_socket(
 /// owner among the `--node`s and proxies it there, with rank-ordered
 /// failover and background health probing. Blocks until killed.
 fn route(opts: &HashMap<String, String>) -> Result<(), String> {
+    expect_flags(
+        "route",
+        opts,
+        &[
+            "http",
+            "node",
+            "retries",
+            "retry-backoff-ms",
+            "probe-interval-ms",
+            "eject-after",
+            "max-conns",
+            "timeout-ms",
+            "log-requests",
+        ],
+    )?;
     let addr = opts
         .get("http")
         .ok_or("route requires --http ADDR (e.g. --http 127.0.0.1:8000)")?;
@@ -728,6 +780,11 @@ fn route(opts: &HashMap<String, String>) -> Result<(), String> {
 /// JSON (default) or markdown; the same shape `GET /v1/export/:schema`
 /// serves.
 fn export(opts: &HashMap<String, String>) -> Result<(), String> {
+    expect_flags(
+        "export",
+        opts,
+        &["xsd", "ddl", "xml", "k", "algorithm", "format", "out"],
+    )?;
     let graph = Arc::new(load_schema(opts)?);
     let stats = Arc::new(load_stats(&graph, opts)?);
     let k = size_of(opts)?;

@@ -1,9 +1,11 @@
 //! Error-path coverage for the `schema-summary serve` JSONL batch driver:
 //! a bad line (malformed JSON, unknown schema, out-of-range `k`) reports
-//! its error and the batch keeps going, always reaching the stats line.
+//! its error and the batch keeps going, always reaching the stats line;
+//! a flag `serve` does not take stops it before it starts.
 
-use std::io::Write;
-use std::process::Command;
+use std::io::{Read, Write};
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 const DDL: &str = "
 CREATE TABLE nation (
@@ -87,4 +89,56 @@ fn empty_batch_still_prints_stats() {
     assert!(output.status.success());
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("0 served, 0 failed"), "stats line:\n{stdout}");
+}
+
+/// Run `serve --ddl FILE <flag> <value>` on a null stdin; it must exit at
+/// once, with status 2 and an error naming the flag, rather than run an
+/// empty batch or start serving.
+fn serve_rejects(fixture: &str, flag: &str, value: &str) {
+    let ddl = write_fixture(fixture, DDL);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_schema-summary"))
+        .args(["serve", "--ddl"])
+        .arg(&ddl)
+        .args([flag, value])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run schema-summary serve");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll serve") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("serve {flag} kept running instead of rejecting the flag");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("stderr is piped")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    assert_eq!(status.code(), Some(2), "serve {flag}: {stderr}");
+    assert!(stderr.contains(flag), "the error names {flag}: {stderr}");
+}
+
+#[test]
+fn misspelled_flag_is_rejected_by_name() {
+    serve_rejects("schema3.ddl", "--htpp", "127.0.0.1:0");
+}
+
+#[test]
+fn retired_listen_flag_is_rejected_by_name() {
+    serve_rejects("schema4.ddl", "--listen", "127.0.0.1:0");
+}
+
+#[test]
+fn server_flag_without_http_is_rejected_by_name() {
+    serve_rejects("schema5.ddl", "--workers", "4");
 }
