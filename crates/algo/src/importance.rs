@@ -194,7 +194,7 @@ pub fn compute_importance(
 /// cold iterations) while keeping matrices and coverage bit-exact.
 ///
 /// Seeded restarts run the Aitken-accelerated iteration (see
-/// [`iterate_accelerated`]): the exit condition is unchanged — only the
+/// `iterate_accelerated`): the exit condition is unchanged — only the
 /// trajectory toward it is shortened.
 pub fn compute_importance_from(
     graph: &SchemaGraph,

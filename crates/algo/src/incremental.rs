@@ -1,8 +1,8 @@
 //! Incremental maintenance planning for schema deltas (paper §3.3).
 //!
-//! A [`SchemaDelta`](schema_summary_core::SchemaDelta) tells us *what* changed
+//! A [`SchemaDelta`] tells us *what* changed
 //! between two schema versions; this module turns that into a *plan*: the
-//! exact set of [`PairMatrices`](crate::PairMatrices) source rows whose
+//! exact set of [`PairMatrices`] source rows whose
 //! exploration could possibly observe the change. Everything outside that set
 //! is bitwise-unaffected and can be spliced over from the old matrices via
 //! [`PairMatrices::splice`](crate::PairMatrices::splice).
@@ -17,9 +17,9 @@
 //! bits that enter the path products. Cardinalities are read exactly once
 //! per row, *after* exploration, when the coverage row is written as
 //! `Card(b) · product`. The kernel records the exact set of elements each
-//! source's trace consulted ([`SourceResult::reads`](crate::paths::
-//! SourceResult)), and the matrices persist it per row together with the
-//! raw path products. So:
+//! source's trace consulted
+//! ([`SourceResult::reads`](crate::paths::SourceResult::reads)), and the
+//! matrices persist it per row together with the raw path products. So:
 //!
 //! * if every element in row `a`'s recorded read set carries bit-identical
 //!   *exploration-relevant* bits in the old and new versions, the new
@@ -40,10 +40,10 @@
 //! *zero* rows: the splice is then a pure rescale.
 //!
 //! The plan applies to two shapes of delta, routed by
-//! [`DeltaClass`](schema_summary_core::DeltaClass):
+//! [`DeltaClass`]:
 //!
 //! * **same-graph deltas** (`Rescale` / `EdgeTouch`): both versions share the
-//!   [`SchemaGraph`](schema_summary_core::SchemaGraph), and the plan marks
+//!   [`SchemaGraph`], and the plan marks
 //!   the rows whose traces read a changed record;
 //! * **additive structural deltas** (`AdditiveStructural`): the new graph
 //!   strictly *extends* the old one — every old element keeps its id, label,

@@ -16,7 +16,7 @@
 //! When the owning store has a disk tier, the all-pairs matrices — the
 //! most expensive artifact — are spilled there in their bit-exact binary
 //! form and rehydrated on the next process's first request instead of
-//! recomputed. [`SchemaCatalog::compute_counters`] tells the two apart.
+//! recomputed. `SchemaCatalog::compute_counters` tells the two apart.
 
 use crate::disk::{DiskTier, SpillSource, KIND_MATRICES};
 use schema_summary_algo::importance::{compute_importance, compute_importance_rebased};
@@ -141,7 +141,7 @@ impl Artifacts {
     /// Importance scores (Formula 1), computed on first use.
     ///
     /// When the warm refresh path staged a previous version's vector via
-    /// [`Artifacts::seed_importance`], the fixpoint restarts from it
+    /// `Artifacts::seed_importance`, the fixpoint restarts from it
     /// (rebased per element by its cardinality ratio, then rescaled to
     /// the new total mass) instead of the cold cardinality init — the
     /// paper's §3.3 maintenance restart. Seeded scores are

@@ -127,22 +127,8 @@ impl NodeClient {
         headers: &[(&str, &str)],
         body: &[u8],
     ) -> io::Result<ClientResponse> {
-        let mut head = format!(
-            "{method} {target} HTTP/1.1\r\nHost: {}\r\n",
-            authority(node)
-        );
-        if let Some(ct) = content_type {
-            head.push_str(&format!("Content-Type: {ct}\r\n"));
-        }
-        for (name, value) in headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
-        }
-        head.push_str(&format!(
-            "Content-Length: {}\r\nConnection: keep-alive\r\n\r\n",
-            body.len()
-        ));
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body)?;
+        let message = encode_request(node, method, target, content_type, headers, body);
+        stream.write_all(&message)?;
         stream.flush()?;
         let response = read_response(&mut stream)?;
         if response.keep_alive {
@@ -150,6 +136,37 @@ impl NodeClient {
         }
         Ok(response)
     }
+}
+
+/// One request message — request line, `Host`, `Content-Type` when
+/// given, the extra headers, `Content-Length`, `Connection: keep-alive`,
+/// body — in one buffer, so it goes out in one write and the node never
+/// wakes on a head without its body.
+fn encode_request(
+    node: &str,
+    method: &str,
+    target: &str,
+    content_type: Option<&str>,
+    headers: &[(&str, &str)],
+    body: &[u8],
+) -> Vec<u8> {
+    let mut head = format!(
+        "{method} {target} HTTP/1.1\r\nHost: {}\r\n",
+        authority(node)
+    );
+    if let Some(ct) = content_type {
+        head.push_str(&format!("Content-Type: {ct}\r\n"));
+    }
+    for (name, value) in headers {
+        head.push_str(&format!("{name}: {value}\r\n"));
+    }
+    head.push_str(&format!(
+        "Content-Length: {}\r\nConnection: keep-alive\r\n\r\n",
+        body.len()
+    ));
+    let mut message = head.into_bytes();
+    message.extend_from_slice(body);
+    message
 }
 
 /// Read exactly one response off `stream`: head through the blank line,
@@ -227,4 +244,42 @@ fn protocol_error(detail: &str) -> io::Error {
 
 fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
     haystack.windows(needle.len()).position(|w| w == needle)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn request_bytes_are_one_framed_message() {
+        let message = encode_request(
+            "http://127.0.0.1:9000/",
+            "POST",
+            "/v1/summary",
+            Some("application/json"),
+            &[("X-Fanout", "1"), ("X-Other", "two")],
+            b"{\"k\":2}",
+        );
+        assert_eq!(
+            message,
+            b"POST /v1/summary HTTP/1.1\r\n\
+              Host: 127.0.0.1:9000\r\n\
+              Content-Type: application/json\r\n\
+              X-Fanout: 1\r\n\
+              X-Other: two\r\n\
+              Content-Length: 7\r\n\
+              Connection: keep-alive\r\n\
+              \r\n\
+              {\"k\":2}"
+        );
+        let bare = encode_request("127.0.0.1:9000", "GET", "/healthz", None, &[], b"");
+        assert_eq!(
+            bare,
+            b"GET /healthz HTTP/1.1\r\n\
+              Host: 127.0.0.1:9000\r\n\
+              Content-Length: 0\r\n\
+              Connection: keep-alive\r\n\
+              \r\n"
+        );
+    }
 }

@@ -4,21 +4,21 @@
 //!
 //! The subsystem is layered:
 //!
-//! * [`request`](self::request) — incremental request parsing with strict
-//!   limits (8 KiB head, 1 MiB body, `Content-Length` or chunked bodies);
-//! * [`response`](self::response) — response construction/serialization
-//!   and the [`WireError`] body of every error;
-//! * [`router`](self::router) — `(method, path)` dispatch onto the
-//!   service (`/v1/*`), metrics/health (`/metrics`, `/healthz`), and
-//!   admin (`/admin/*`) handlers;
-//! * [`metrics`](self::metrics) — Prometheus text exposition of the
-//!   cache, store, catalog, and server counters;
-//! * [`server`](self::server) — [`HttpServer`]: the node's routes on the
-//!   connection layer it shares with the cluster router (`listener.rs`:
-//!   accept, keep-alive loop, parse-error statuses, audit line,
-//!   connection counters, shutdown), with every summary computation on
-//!   the bounded worker pool (`503` when the queue is full, `504` on
-//!   timeout).
+//! * `request` — incremental request parsing with strict limits (8 KiB
+//!   head, 1 MiB body, `Content-Length` or chunked bodies);
+//! * `response` — response construction and serialization, each message
+//!   in one write, and the [`WireError`] body of every error;
+//! * `router` — `(method, path)` dispatch onto the service (`/v1/*`),
+//!   metrics/health (`/metrics`, `/healthz`), and admin (`/admin/*`)
+//!   handlers. A summary whose result is resident in memory is answered
+//!   on the connection thread; everything else computes on the pool;
+//! * `metrics` — Prometheus text exposition of the cache, store, catalog,
+//!   and server counters;
+//! * `server` — [`HttpServer`]: the node's routes on the connection layer
+//!   it shares with the cluster router (`listener.rs`: accept, keep-alive
+//!   loop, parse-error statuses, audit line, connection counters,
+//!   shutdown), with every summary computation on the bounded worker pool
+//!   (`503` when the queue is full, `504` on timeout).
 
 pub(crate) mod fanout;
 pub(crate) mod metrics;

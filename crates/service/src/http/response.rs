@@ -75,8 +75,9 @@ impl HttpResponse {
         Self::error(status, kind, e.to_string())
     }
 
-    /// Serialize onto `out`. `keep_alive` is what the request negotiated;
-    /// `self.close` overrides it.
+    /// Serialize onto `out` in one write, so the peer never wakes on a
+    /// head without its body. `keep_alive` is what the request
+    /// negotiated; `self.close` overrides it.
     pub fn write_to(&self, out: &mut impl Write, keep_alive: bool) -> io::Result<()> {
         let connection = if keep_alive && !self.close {
             "keep-alive"
@@ -87,15 +88,16 @@ impl HttpResponse {
             Some(methods) => format!("Allow: {methods}\r\n"),
             None => String::new(),
         };
-        let head = format!(
+        let mut message = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{allow}Connection: {connection}\r\n\r\n",
             self.status,
             reason(self.status),
             self.content_type,
             self.body.len(),
-        );
-        out.write_all(head.as_bytes())?;
-        out.write_all(&self.body)?;
+        )
+        .into_bytes();
+        message.extend_from_slice(&self.body);
+        out.write_all(&message)?;
         out.flush()
     }
 
@@ -151,6 +153,37 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.contains("\"kind\":\"malformed\""));
+    }
+
+    /// A sink that counts the `write` calls it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_goes_out_in_one_write() {
+        let mut allowed = HttpResponse::error(405, "method_not_allowed", "GET /v1/summary");
+        allowed.allow = Some("POST");
+        for response in [HttpResponse::text(200, "ok\n"), allowed] {
+            let mut out = CountingWriter::default();
+            response.write_to(&mut out, true).unwrap();
+            assert_eq!(out.writes, 1, "head and body share one write");
+            assert!(out.bytes.ends_with(&response.body));
+        }
     }
 
     #[test]

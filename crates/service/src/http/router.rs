@@ -3,9 +3,9 @@
 //!
 //! | route | handler |
 //! |---|---|
-//! | `POST /v1/summary` | flat summary via the worker pool |
-//! | `POST /v1/levels` | multi-level summary via the worker pool |
-//! | `POST /v1/expand` | drill-down via the worker pool |
+//! | `POST /v1/summary` | flat summary (resident inline, else the worker pool) |
+//! | `POST /v1/levels` | multi-level summary (resident inline, else the worker pool) |
+//! | `POST /v1/expand` | drill-down (resident inline, else the worker pool) |
 //! | `GET /v1/export/:schema` | condensed summary export (JSON/markdown) via the worker pool |
 //! | `GET /metrics` | Prometheus text exposition |
 //! | `GET /healthz` | liveness probe |
@@ -13,11 +13,16 @@
 //! | `POST /admin/evict` | drop one fingerprint's cached results |
 //! | `POST /admin/refresh` | diff two schemas, refresh warm where possible |
 //!
-//! Every route that computes a summary — the three summary routes and
-//! export — runs it through the node's one pooled hook
-//! ([`Node::execute`]): `503` when the queue is full, `504` past the
-//! per-request budget. Inspection endpoints answer inline — they read
-//! counters, not matrices — and so do the admin mutations.
+//! A summary request whose result is resident in memory is answered on
+//! the connection thread that parsed it
+//! ([`SummaryService::handle_resident`]). Such an answer is never shed
+//! (`503`) or timed out (`504`); the connection cap bounds that work.
+//! Everything else — a miss, a disk rehydration, a wait on another
+//! request's computation, and every export — computes through the node's
+//! one pooled hook ([`Node::execute`]) as before: `503` when the queue is
+//! full, `504` past the per-request budget. Inspection endpoints answer
+//! inline — they read counters, not matrices — and so do the admin
+//! mutations.
 
 use crate::http::fanout::{Fanout, FANOUT_HEADER};
 use crate::http::metrics;
@@ -40,7 +45,7 @@ fn propagate(node: &Node, req: &HttpRequest, response: &HttpResponse) {
     }
 }
 
-fn reply_json(reply: &ServedReply) -> String {
+pub(crate) fn reply_json(reply: &ServedReply) -> String {
     match reply {
         ServedReply::Flat(flat) => {
             serde_json::to_string(flat.result.as_ref()).expect("result serializes")
@@ -299,8 +304,14 @@ pub(crate) fn route(node: &Node, req: &HttpRequest) -> HttpResponse {
     let path = req.path();
     match (req.method.as_str(), path) {
         ("POST", "/v1/summary" | "/v1/levels" | "/v1/expand") => {
-            let reply = summary_body(path, &req.body)
-                .and_then(|request| node.execute(move |service| service.handle_request(&request)));
+            // A result resident in memory is answered here, on the
+            // connection thread; everything else computes on the pool.
+            let reply = summary_body(path, &req.body).and_then(|request| {
+                match node.service.handle_resident(&request) {
+                    Some(resident) => resident.map_err(|e| HttpResponse::service_error(&e)),
+                    None => node.execute(move |service| service.handle_request(&request)),
+                }
+            });
             match reply {
                 Ok(reply) => HttpResponse::json(200, reply_json(&reply)),
                 Err(resp) => resp,

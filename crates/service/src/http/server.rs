@@ -1,7 +1,8 @@
 //! The node's HTTP front-end: the routes of [`router`](super::router)
-//! on the shared connection layer (`listener.rs`), with every summary
-//! computation on the bounded worker pool (`503` when its queue is full,
-//! `504` past the request budget).
+//! on the shared connection layer (`listener.rs`). A summary whose result
+//! is resident in memory is answered on the connection thread; every
+//! summary computation runs on the bounded worker pool (`503` when its
+//! queue is full, `504` past the request budget).
 
 use crate::http::fanout::Fanout;
 use crate::http::request::HttpRequest;
@@ -43,7 +44,9 @@ impl Node {
     /// Run `job` on the worker pool, waiting up to the request budget.
     /// A full queue, a timeout (the job keeps running and warms the cache
     /// for the next attempt), a dropped job and a service error come back
-    /// as the response to send.
+    /// as the response to send. The summary routes come here only for a
+    /// result not resident in memory; a resident one is answered on the
+    /// connection thread first, so it is never shed or timed out.
     pub fn execute<T: Send + 'static>(
         &self,
         job: impl FnOnce(&SummaryService) -> Result<T, ServiceError> + Send + 'static,

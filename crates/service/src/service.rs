@@ -545,15 +545,8 @@ impl SummaryService {
         k: usize,
         config: &SummarizerConfig,
     ) -> Result<ServedSummary, ServiceError> {
-        let key = ResultKey {
-            fingerprint,
-            shape: ResultShape::Flat { algorithm, k },
-            options: config.clone(),
-        };
-        let (artifact, from_cache) = self.store.serve(&key, &|| {
-            self.compute_flat(fingerprint, algorithm, k, config)
-                .map(CachedArtifact::Flat)
-        })?;
+        let key = Self::flat_key(fingerprint, algorithm, k, config);
+        let (artifact, from_cache) = self.serve_key(&key)?;
         match artifact {
             CachedArtifact::Flat(result) => Ok(ServedSummary { result, from_cache }),
             CachedArtifact::MultiLevel(_) => {
@@ -585,23 +578,8 @@ impl SummaryService {
         sizes: &[usize],
         config: &SummarizerConfig,
     ) -> Result<ServedMultiLevel, ServiceError> {
-        if sizes.is_empty() {
-            return Err(ServiceError::BadRequest(
-                "levels must name at least one size".into(),
-            ));
-        }
-        let key = ResultKey {
-            fingerprint,
-            shape: ResultShape::MultiLevel {
-                algorithm,
-                sizes: sizes.to_vec(),
-            },
-            options: config.clone(),
-        };
-        let (artifact, from_cache) = self.store.serve(&key, &|| {
-            self.compute_multi_level(fingerprint, algorithm, sizes, config)
-                .map(CachedArtifact::MultiLevel)
-        })?;
+        let key = Self::multi_level_key(fingerprint, algorithm, sizes, config)?;
+        let (artifact, from_cache) = self.serve_key(&key)?;
         match artifact {
             CachedArtifact::MultiLevel(result) => Ok(ServedMultiLevel { result, from_cache }),
             CachedArtifact::Flat(_) => {
@@ -637,7 +615,24 @@ impl SummaryService {
         config: &SummarizerConfig,
     ) -> Result<ServedExpansion, ServiceError> {
         let served = self.multi_level_with(fingerprint, algorithm, sizes, config)?;
-        let ml = &served.result.summary;
+        let result = self.expansion(fingerprint, algorithm, &served.result, level, group)?;
+        Ok(ServedExpansion {
+            result,
+            from_cache: served.from_cache,
+        })
+    }
+
+    /// Walk a level stack to one group's drill-down: the finer groups
+    /// inside it, or its raw elements at level 0. Never computes.
+    fn expansion(
+        &self,
+        fingerprint: SchemaFingerprint,
+        algorithm: Algorithm,
+        stack: &MultiLevelArtifact,
+        level: usize,
+        group: usize,
+    ) -> Result<ExpandResult, ServiceError> {
+        let ml = &stack.summary;
         if level >= ml.depth() {
             return Err(ServiceError::BadRequest(format!(
                 "level {level} out of range (stack depth {})",
@@ -680,19 +675,70 @@ impl SummaryService {
                 .collect();
             (children, Vec::new())
         };
-        Ok(ServedExpansion {
-            result: ExpandResult {
-                fingerprint,
-                algorithm,
-                sizes: ml.sizes(),
-                level,
-                group,
-                representative: graph.label_path(expanded.representative),
-                children,
-                elements,
-            },
-            from_cache: served.from_cache,
+        Ok(ExpandResult {
+            fingerprint,
+            algorithm,
+            sizes: ml.sizes(),
+            level,
+            group,
+            representative: graph.label_path(expanded.representative),
+            children,
+            elements,
         })
+    }
+
+    /// The result key of a flat summary.
+    fn flat_key(
+        fingerprint: SchemaFingerprint,
+        algorithm: Algorithm,
+        k: usize,
+        config: &SummarizerConfig,
+    ) -> ResultKey {
+        ResultKey {
+            fingerprint,
+            shape: ResultShape::Flat { algorithm, k },
+            options: config.clone(),
+        }
+    }
+
+    /// The result key of a multi-level stack; a stack needs at least one
+    /// level.
+    fn multi_level_key(
+        fingerprint: SchemaFingerprint,
+        algorithm: Algorithm,
+        sizes: &[usize],
+        config: &SummarizerConfig,
+    ) -> Result<ResultKey, ServiceError> {
+        if sizes.is_empty() {
+            return Err(ServiceError::BadRequest(
+                "levels must name at least one size".into(),
+            ));
+        }
+        Ok(ResultKey {
+            fingerprint,
+            shape: ResultShape::MultiLevel {
+                algorithm,
+                sizes: sizes.to_vec(),
+            },
+            options: config.clone(),
+        })
+    }
+
+    /// Serve `key` through every tier, computing it on a miss.
+    fn serve_key(&self, key: &ResultKey) -> Result<(CachedArtifact, bool), ServiceError> {
+        self.store.serve(key, &|| self.compute(key))
+    }
+
+    /// Compute `key`'s artifact cold (called by a single-flight leader).
+    fn compute(&self, key: &ResultKey) -> Result<CachedArtifact, ServiceError> {
+        match &key.shape {
+            ResultShape::Flat { algorithm, k } => self
+                .compute_flat(key.fingerprint, *algorithm, *k, &key.options)
+                .map(CachedArtifact::Flat),
+            ResultShape::MultiLevel { algorithm, sizes } => self
+                .compute_multi_level(key.fingerprint, *algorithm, sizes, &key.options)
+                .map(CachedArtifact::MultiLevel),
+        }
     }
 
     /// Run the selection algorithm shared by flat and multi-level
@@ -842,33 +888,84 @@ impl SummaryService {
         Ok((fingerprint, algorithm))
     }
 
-    /// Answer any [`SummaryRequest`]: `expand` (requires `levels`) drills
-    /// a cached stack, `levels` builds/serves a multi-level summary, and
-    /// otherwise a flat summary with `k = 5` by default.
-    pub fn handle_request(&self, request: &SummaryRequest) -> Result<ServedReply, ServiceError> {
+    /// Resolve a [`SummaryRequest`] to the key of the one artifact it
+    /// reads, plus the drill-down step its reply takes from that artifact.
+    fn plan<'r>(
+        &self,
+        request: &'r SummaryRequest,
+    ) -> Result<(ResultKey, Option<&'r ExpandSpec>), ServiceError> {
         let (fingerprint, algorithm) = self.resolve(request)?;
-        let config = self.config.summarizer.clone();
+        let config = &self.config.summarizer;
         match (&request.levels, &request.expand) {
             (None, Some(_)) => Err(ServiceError::BadRequest(
                 "expand requires levels (the stack to drill into)".into(),
             )),
-            (Some(sizes), Some(spec)) => self
-                .expand_with(
-                    fingerprint,
-                    algorithm,
-                    sizes,
+            (Some(sizes), expand) => Ok((
+                Self::multi_level_key(fingerprint, algorithm, sizes, config)?,
+                expand.as_ref(),
+            )),
+            (None, None) => Ok((
+                Self::flat_key(fingerprint, algorithm, request.k.unwrap_or(5), config),
+                None,
+            )),
+        }
+    }
+
+    /// Shape a served artifact into the reply [`plan`](Self::plan) asked
+    /// for.
+    fn reply(
+        &self,
+        key: &ResultKey,
+        expand: Option<&ExpandSpec>,
+        artifact: CachedArtifact,
+        from_cache: bool,
+    ) -> Result<ServedReply, ServiceError> {
+        match (artifact, expand) {
+            (CachedArtifact::Flat(result), None) => {
+                Ok(ServedReply::Flat(ServedSummary { result, from_cache }))
+            }
+            (CachedArtifact::MultiLevel(result), None) => {
+                Ok(ServedReply::MultiLevel(ServedMultiLevel { result, from_cache }))
+            }
+            (CachedArtifact::MultiLevel(stack), Some(spec)) => self
+                .expansion(
+                    key.fingerprint,
+                    key.shape.algorithm(),
+                    &stack,
                     spec.level,
                     spec.group,
-                    &config,
                 )
-                .map(ServedReply::Expansion),
-            (Some(sizes), None) => self
-                .multi_level_with(fingerprint, algorithm, sizes, &config)
-                .map(ServedReply::MultiLevel),
-            (None, None) => self
-                .summarize(fingerprint, algorithm, request.k.unwrap_or(5))
-                .map(ServedReply::Flat),
+                .map(|result| ServedReply::Expansion(ServedExpansion { result, from_cache })),
+            (CachedArtifact::Flat(_), Some(_)) => {
+                unreachable!("a drill-down is only planned on a multi-level key")
+            }
         }
+    }
+
+    /// Answer any [`SummaryRequest`]: `expand` (requires `levels`) drills
+    /// a cached stack, `levels` builds/serves a multi-level summary, and
+    /// otherwise a flat summary with `k = 5` by default.
+    pub fn handle_request(&self, request: &SummaryRequest) -> Result<ServedReply, ServiceError> {
+        let (key, expand) = self.plan(request)?;
+        let (artifact, from_cache) = self.serve_key(&key)?;
+        self.reply(&key, expand, artifact, from_cache)
+    }
+
+    /// Answer a [`SummaryRequest`] from the memory tier alone, exactly as
+    /// [`handle_request`](Self::handle_request) would — same reply, same
+    /// error for an out-of-range drill-down, same hit counted — when the
+    /// artifact it reads is resident. `None` otherwise, with nothing
+    /// counted: the artifact is on disk, being computed, or absent, or the
+    /// request does not resolve; `handle_request` then serves it. Never
+    /// reads disk, computes or blocks on another request's computation,
+    /// so a caller may run it where blocking is not allowed.
+    pub fn handle_resident(
+        &self,
+        request: &SummaryRequest,
+    ) -> Option<Result<ServedReply, ServiceError>> {
+        let (key, expand) = self.plan(request).ok()?;
+        let artifact = self.store.lookup(&key)?;
+        Some(self.reply(&key, expand, artifact, true))
     }
 
     /// Answer a flat [`SummaryRequest`] (compatibility entry point for
@@ -897,7 +994,7 @@ impl SummaryService {
     /// Maintenance hook for schema deltas (`schema_summary_core::diff`).
     ///
     /// An empty delta (content unchanged) touches nothing. A non-empty
-    /// delta routes through [`ArtifactStore::refresh`]: when the new
+    /// delta routes through `ArtifactStore::refresh`: when the new
     /// fingerprint is registered and the delta qualifies (same graph,
     /// footprint within [`ServiceConfig::delta_max_fraction`] of the
     /// elements), the new fingerprint's matrices are spliced from the old
@@ -963,9 +1060,6 @@ impl SummaryService {
         let _ = self
             .store
             .serve(&new_key, &|| match (&new_key.shape, old_artifact) {
-                (ResultShape::Flat { algorithm, k }, _) => self
-                    .compute_flat(new_fp, *algorithm, *k, &new_key.options)
-                    .map(CachedArtifact::Flat),
                 (
                     ResultShape::MultiLevel { algorithm, sizes },
                     CachedArtifact::MultiLevel(prev),
@@ -979,9 +1073,7 @@ impl SummaryService {
                         row_changed,
                     )
                     .map(CachedArtifact::MultiLevel),
-                (ResultShape::MultiLevel { algorithm, sizes }, CachedArtifact::Flat(_)) => self
-                    .compute_multi_level(new_fp, *algorithm, sizes, &new_key.options)
-                    .map(CachedArtifact::MultiLevel),
+                _ => self.compute(&new_key),
             });
     }
 
@@ -1911,6 +2003,115 @@ mod tests {
             }),
             Err(ServiceError::BadRequest(_))
         ));
+    }
+
+    /// A reply as the HTTP routes put it on the wire: the JSON body of an
+    /// answer, or the text of an error.
+    fn wire(reply: Result<ServedReply, ServiceError>) -> String {
+        match reply {
+            Ok(reply) => crate::http::router::reply_json(&reply),
+            Err(e) => format!("error: {e}"),
+        }
+    }
+
+    #[test]
+    fn resident_answers_match_handle_request_and_never_compute() {
+        let dir =
+            std::env::temp_dir().join(format!("schema-summary-resident-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            SummaryService::new(ServiceConfig {
+                store_dir: Some(dir.clone()),
+                ..Default::default()
+            })
+        };
+        let service = open();
+        let (g, s) = fixture();
+        service.register_named("site", g, s);
+        let flat = SummaryRequest {
+            k: Some(3),
+            ..Default::default()
+        };
+        let levels = SummaryRequest {
+            levels: Some(vec![4, 2]),
+            ..Default::default()
+        };
+        let expand = |level, group| SummaryRequest {
+            expand: Some(ExpandSpec { level, group }),
+            ..levels.clone()
+        };
+        let counters = |service: &SummaryService| {
+            let stats = service.cache_stats();
+            (stats.hits, stats.misses, stats.disk_hits, stats.compute_micros)
+        };
+
+        // Nothing is resident yet: no answer, and nothing counted.
+        for request in [&flat, &levels, &expand(1, 0)] {
+            assert!(service.handle_resident(request).is_none());
+        }
+        assert_eq!(counters(&service), (0, 0, 0, 0));
+
+        service.handle_request(&flat).unwrap();
+        service.handle_request(&levels).unwrap();
+        let (hits, misses, disk_hits, compute) = counters(&service);
+        let requests = [
+            flat.clone(),
+            levels.clone(),
+            expand(1, 0),
+            expand(1, 1),
+            expand(0, 0),
+            // Out of range: the same error either way.
+            expand(2, 0),
+            expand(1, 9),
+        ];
+        for request in &requests {
+            let resident = service
+                .handle_resident(request)
+                .expect("the artifact is resident");
+            if let Ok(reply) = &resident {
+                let from_cache = match reply {
+                    ServedReply::Flat(r) => r.from_cache,
+                    ServedReply::MultiLevel(r) => r.from_cache,
+                    ServedReply::Expansion(r) => r.from_cache,
+                };
+                assert!(from_cache);
+            }
+            assert_eq!(wire(resident), wire(service.handle_request(request)));
+        }
+        let hits = hits + 2 * requests.len() as u64;
+        assert_eq!(counters(&service), (hits, misses, disk_hits, compute));
+
+        // Keys that are not resident yield nothing, and count nothing.
+        let other_k = SummaryRequest {
+            k: Some(4),
+            ..Default::default()
+        };
+        let other_levels = SummaryRequest {
+            levels: Some(vec![6, 3]),
+            expand: Some(ExpandSpec { level: 0, group: 0 }),
+            ..Default::default()
+        };
+        let unknown = SummaryRequest {
+            schema: Some("nope".into()),
+            ..Default::default()
+        };
+        for request in [&other_k, &other_levels, &unknown] {
+            assert!(service.handle_resident(request).is_none());
+        }
+        assert_eq!(counters(&service), (hits, misses, disk_hits, compute));
+
+        // After a restart the results are on disk only: the resident path
+        // does not read them, and `handle_request` does.
+        service.flush_store();
+        drop(service);
+        let restarted = open();
+        for request in &requests {
+            assert!(restarted.handle_resident(request).is_none());
+        }
+        assert_eq!(counters(&restarted), (0, 0, 0, 0));
+        restarted.handle_request(&flat).unwrap();
+        assert_eq!(counters(&restarted), (0, 0, 1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

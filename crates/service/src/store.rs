@@ -14,6 +14,9 @@
 //!    single-flight so N concurrent misses on one key compute once
 //!    (`misses`), then spilled to disk and inserted into memory.
 //!
+//! [`ArtifactStore::lookup`] reads the memory tier alone, for callers that
+//! must not block on disk, compute or another request's single-flight.
+//!
 //! Invalidation drops a fingerprint from all three tiers at once.
 
 use crate::catalog::SchemaCatalog;
@@ -38,6 +41,17 @@ pub(crate) enum ResultShape {
         algorithm: Algorithm,
         sizes: Vec<usize>,
     },
+}
+
+impl ResultShape {
+    /// The algorithm that selects the result.
+    pub fn algorithm(&self) -> Algorithm {
+        match self {
+            ResultShape::Flat { algorithm, .. } | ResultShape::MultiLevel { algorithm, .. } => {
+                *algorithm
+            }
+        }
+    }
 }
 
 /// The store's unit of addressing: schema content + result shape + full
@@ -264,6 +278,16 @@ impl ArtifactStore {
         self.disk.as_ref()
     }
 
+    /// Serve `key` from the memory tier alone: a resident artifact counts
+    /// a hit; anything else returns `None` and counts nothing. Never reads
+    /// disk, never computes, and never waits on another request's
+    /// single-flight, so it is safe to call where blocking is not.
+    pub fn lookup(&self, key: &ResultKey) -> Option<CachedArtifact> {
+        let artifact = self.results.get(key)?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(artifact)
+    }
+
     /// Serve `key` through the tiers. Returns the artifact and whether it
     /// came from a cache tier (memory or disk) rather than `compute`.
     ///
@@ -275,8 +299,7 @@ impl ArtifactStore {
         compute: &dyn Fn() -> Result<CachedArtifact, ServiceError>,
     ) -> Result<(CachedArtifact, bool), ServiceError> {
         loop {
-            if let Some(artifact) = self.results.get(key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+            if let Some(artifact) = self.lookup(key) {
                 return Ok((artifact, true));
             }
             let (flight, leader) = {
@@ -288,8 +311,7 @@ impl ArtifactStore {
                         // above: it inserts into memory before it removes
                         // its flight, so a second look under the lock
                         // finds its result rather than computing it again.
-                        if let Some(artifact) = self.results.get(key) {
-                            self.hits.fetch_add(1, Ordering::Relaxed);
+                        if let Some(artifact) = self.lookup(key) {
                             return Ok((artifact, true));
                         }
                         let flight = Arc::new(Flight::new());

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{build_service, Client};
+use common::{build_service, deeply_nested_bodies, Client};
 use proptest::prelude::*;
 use schema_summary_algo::Algorithm;
 use schema_summary_datasets::{tpch, xmark};
@@ -272,6 +272,25 @@ fn router_maps_unparseable_requests_like_a_node() {
     let stats = router.shutdown();
     assert_eq!(stats.served, 3);
     assert_eq!(stats.routed, vec![0]);
+    node.shutdown();
+}
+
+/// The router parses every body to pick its owner. A body nested past
+/// the JSON depth bound must not overflow that parse: the node behind
+/// answers `400`, the router relays it, and both keep serving.
+#[test]
+fn deeply_nested_bodies_get_400_through_the_router() {
+    let (node, addr) = bind_node(build_service(), node_config());
+    let router = router_over(vec![addr]);
+    let mut client = Client::connect(router.local_addr());
+    for body in deeply_nested_bodies() {
+        let reply = client.post("/v1/summary", &body);
+        assert_eq!(reply.status, 400, "{}", reply.text());
+        assert_eq!(reply.error().kind, "malformed");
+        let health = client.get("/healthz");
+        assert_eq!(health.text(), "ok role=router nodes=1 healthy=1\n");
+    }
+    router.shutdown();
     node.shutdown();
 }
 

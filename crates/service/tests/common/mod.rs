@@ -178,6 +178,17 @@ impl Client {
     }
 }
 
+/// Two request bodies as large as the 1 MiB body cap and nested far past
+/// the JSON parser's depth bound: `[[[[…` and `{"a":{"a":…`.
+pub fn deeply_nested_bodies() -> [String; 2] {
+    const BODY_CAP: usize = 1024 * 1024;
+    ["[", r#"{"a":"#].map(|open| {
+        let mut body = open.repeat(BODY_CAP / open.len() + 1);
+        body.truncate(BODY_CAP);
+        body
+    })
+}
+
 fn raw_request(method: &str, target: &str, extra: &str, body: Option<&str>) -> String {
     match body {
         Some(b) => format!(

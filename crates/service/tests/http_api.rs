@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{assert_refuses_connections, build_service, Client};
+use common::{assert_refuses_connections, build_service, deeply_nested_bodies, Client};
 use schema_summary_datasets::xmark;
 use schema_summary_service::{HttpConfig, HttpServer, SummaryRequest, SummaryService};
 use std::net::TcpStream;
@@ -203,6 +203,21 @@ fn oversized_head_gets_431_and_oversized_body_413() {
     assert_eq!(reply.status, 413);
     client.assert_eof();
 
+    server.shutdown();
+}
+
+/// A body nested past the JSON depth bound is a `400`, not a stack
+/// overflow on the connection thread: the node keeps serving.
+#[test]
+fn deeply_nested_bodies_get_400_and_the_node_keeps_serving() {
+    let server = bind(default_config());
+    let mut client = Client::connect(server.local_addr());
+    for body in deeply_nested_bodies() {
+        let reply = client.post("/v1/summary", &body);
+        assert_eq!(reply.status, 400, "{}", reply.text());
+        assert_eq!(reply.error().kind, "malformed");
+        assert_eq!(client.get("/healthz").status, 200);
+    }
     server.shutdown();
 }
 
@@ -669,4 +684,68 @@ fn concurrent_cold_exports_beyond_the_queue_are_shed_with_503() {
          (clients saw {shed_replies}, server counted {})",
         stats.shed
     );
+}
+
+/// Wait, polling, until `done` holds.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while !done() {
+        assert!(std::time::Instant::now() < deadline, "timed out waiting: {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A result resident in memory is answered on the connection thread, so
+/// a full queue does not shed it. With the one worker busy on a cold key
+/// and the one queue slot taken, a fresh cold key gets `503`, while a
+/// pre-warmed key answers `200` with the bytes it returned before and
+/// computes nothing.
+#[test]
+fn resident_results_are_answered_while_the_queue_is_full() {
+    let server = bind(starved_config(Duration::from_secs(60)));
+    let addr = server.local_addr();
+    let service = Arc::clone(server.service());
+    let mut client = Client::connect(addr);
+    let warm = "{\"schema\":\"tpch\",\"k\":3}";
+    let before = client.post("/v1/summary", warm);
+    assert_eq!(before.status, 200, "{}", before.text());
+    let misses = service.cache_stats().misses;
+
+    // One slow cold key, sent three times: the first request computes it
+    // on the worker, a second takes the queue slot (and later reads the
+    // first one's result as a hit), and the third is shed.
+    let cold = "{\"schema\":\"xmark\",\"algorithm\":\"coverage\",\"k\":60}";
+    let send_cold = move || Client::connect(addr).post("/v1/summary", cold).status;
+    let computing = std::thread::spawn(send_cold);
+    wait_until("the cold key to start computing", || {
+        service.cache_stats().misses == misses + 1
+    });
+    let (statuses, shed) = std::sync::mpsc::channel();
+    let queued: Vec<_> = (0..2)
+        .map(|_| {
+            let statuses = statuses.clone();
+            std::thread::spawn(move || statuses.send(send_cold()).unwrap())
+        })
+        .collect();
+    assert_eq!(shed.recv().unwrap(), 503, "one duplicate is shed");
+
+    // The queue is full: a fresh cold key is shed, the warm key is not.
+    let fresh = client.post("/v1/summary", "{\"schema\":\"xmark\",\"k\":4}");
+    assert_eq!(fresh.status, 503, "{}", fresh.text());
+    assert_eq!(fresh.error().kind, "overloaded");
+    let hits = service.cache_stats().hits;
+    let again = client.post("/v1/summary", warm);
+    assert_eq!(again.status, 200, "{}", again.text());
+    assert_eq!(again.body, before.body);
+    let stats = service.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (hits + 1, misses + 1));
+
+    assert_eq!(computing.join().unwrap(), 200);
+    for handle in queued {
+        handle.join().unwrap();
+    }
+    assert_eq!(shed.recv().unwrap(), 200, "the queued duplicate is answered");
+    assert_eq!(service.cache_stats().misses, misses + 1);
+    let stats = server.shutdown();
+    assert_eq!(stats.shed, 2);
 }

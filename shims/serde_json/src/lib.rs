@@ -56,10 +56,21 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T> {
     Ok(T::from_value(&value)?)
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts, as in
+/// upstream serde_json. The parser recurses once per level, so the bound
+/// keeps hostile input (say a megabyte of `[`) from overflowing the stack;
+/// past it, parsing returns an [`Error`].
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse JSON text into a [`Value`] without binding it to a type.
 pub fn parse(s: &str) -> Result<Value> {
     let bytes = s.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        src: s,
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -156,8 +167,11 @@ fn render_string(s: &str, out: &mut String) {
 // --------------------------------------------------------------- parsing
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -203,14 +217,29 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(other) => Err(Error::new(format!(
                 "unexpected character `{}` at byte {}",
                 other as char, self.pos
             ))),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value> {
@@ -319,13 +348,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance over one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape in one
+                    // go. Both are ASCII, so the run ends on a character
+                    // boundary of the source.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -413,6 +443,42 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("nope").is_err());
         assert!(parse("1 2").is_err());
+    }
+
+    fn nested_arrays(depth: usize) -> String {
+        format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    fn nested_objects(depth: usize) -> String {
+        format!("{}null{}", r#"{"a":"#.repeat(depth), "}".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        for doc in [nested_arrays(MAX_DEPTH), nested_objects(MAX_DEPTH)] {
+            assert!(parse(&doc).is_ok(), "{MAX_DEPTH} levels parse");
+        }
+        for doc in [nested_arrays(MAX_DEPTH + 1), nested_objects(MAX_DEPTH + 1)] {
+            let err = parse(&doc).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        }
+        // Far past the bound, the parser still returns instead of
+        // overflowing its stack, and the depth resets between documents.
+        assert!(parse(&"[".repeat(1 << 20)).is_err());
+        assert!(parse(&r#"{"a":"#.repeat(1 << 18)).is_err());
+        let wide = format!("[{}]", vec![nested_arrays(MAX_DEPTH - 1); 3].join(","));
+        assert!(parse(&wide).is_ok(), "siblings do not add up their depth");
+    }
+
+    #[test]
+    fn strings_copy_runs_between_escapes() {
+        let v: String = from_str(r#""héllo \"wörld\" \u00e9 ✓""#).unwrap();
+        assert_eq!(v, "héllo \"wörld\" é ✓");
+        // A long string parses in time linear in its length.
+        let long = "ab✓".repeat(1 << 18);
+        let v: String = from_str(&format!("\"{long}\"")).unwrap();
+        assert_eq!(v, long);
+        assert!(parse("\"unterminated").is_err());
     }
 
     #[test]
