@@ -18,6 +18,11 @@ use crate::xmlparse::{XmlEvent, XmlReader};
 use crate::ParseError;
 use schema_summary_core::{AtomicType, ElementId, SchemaGraph, SchemaGraphBuilder, SchemaType};
 
+/// Deepest element nesting `parse_xsd` accepts. The parser recurses once
+/// per nested element, so past this bound it returns a [`ParseError`]
+/// instead of risking the caller's stack.
+pub const MAX_XSD_DEPTH: usize = 256;
+
 /// Parse an XSD document into a schema graph.
 pub fn parse_xsd(input: &str) -> Result<SchemaGraph, ParseError> {
     let mut reader = XmlReader::new(input);
@@ -50,7 +55,7 @@ pub fn parse_xsd(input: &str) -> Result<SchemaGraph, ParseError> {
                     let mut b = SchemaGraphBuilder::new(elem_name);
                     let root = b.root();
                     if !self_closing {
-                        parse_element_body(&mut reader, &mut b, root, &name)?;
+                        parse_element_body(&mut reader, &mut b, root, &name, 0)?;
                     }
                     builder = Some(b);
                 }
@@ -98,19 +103,27 @@ pub fn parse_xsd(input: &str) -> Result<SchemaGraph, ParseError> {
 }
 
 /// Parse the body of an `<xs:element>` (until its closing tag): an optional
-/// inline complexType with a model group and attributes.
+/// inline complexType with a model group and attributes. `depth` counts
+/// the elements enclosing this one.
 fn parse_element_body(
     reader: &mut XmlReader<'_>,
     builder: &mut SchemaGraphBuilder,
     element: ElementId,
     closing: &str,
+    depth: usize,
 ) -> Result<(), ParseError> {
+    if depth >= MAX_XSD_DEPTH {
+        return Err(ParseError::new(
+            reader.line,
+            format!("element nesting exceeds {MAX_XSD_DEPTH} levels"),
+        ));
+    }
     loop {
         match reader.next_event()? {
             Some(XmlEvent::Open { name, attrs: _, self_closing }) => match local(&name) {
                 "complexType" => {
                     if !self_closing {
-                        parse_complex_type(reader, builder, element, &name)?;
+                        parse_complex_type(reader, builder, element, &name, depth)?;
                     }
                 }
                 "annotation" | "documentation" => {
@@ -139,19 +152,20 @@ fn parse_complex_type(
     builder: &mut SchemaGraphBuilder,
     element: ElementId,
     closing: &str,
+    depth: usize,
 ) -> Result<(), ParseError> {
     loop {
         match reader.next_event()? {
             Some(XmlEvent::Open { name, attrs, self_closing }) => match local(&name) {
                 "sequence" | "all" => {
                     if !self_closing {
-                        parse_model_group(reader, builder, element, &name)?;
+                        parse_model_group(reader, builder, element, &name, depth)?;
                     }
                 }
                 "choice" => {
                     mark_choice(builder, element);
                     if !self_closing {
-                        parse_model_group(reader, builder, element, &name)?;
+                        parse_model_group(reader, builder, element, &name, depth)?;
                     }
                 }
                 "attribute" => {
@@ -194,6 +208,7 @@ fn parse_model_group(
     builder: &mut SchemaGraphBuilder,
     parent: ElementId,
     closing: &str,
+    depth: usize,
 ) -> Result<(), ParseError> {
     loop {
         match reader.next_event()? {
@@ -217,7 +232,7 @@ fn parse_model_group(
                         .add_child(parent, child_name, ty)
                         .map_err(|e| ParseError::new(reader.line, e.to_string()))?;
                     if !self_closing {
-                        parse_element_body(reader, builder, child, &name)?;
+                        parse_element_body(reader, builder, child, &name, depth + 1)?;
                     }
                 }
                 "annotation" | "documentation" => {
@@ -396,5 +411,34 @@ mod tests {
         let mut s = schema_summary_algo::Summarizer::new(&g, &stats);
         let summary = s.summarize(2, schema_summary_algo::Algorithm::Balance).unwrap();
         summary.validate(&g).unwrap();
+    }
+
+    /// `levels` elements, each nested in the previous one's sequence.
+    fn nested_xsd(levels: usize) -> String {
+        let open = r#"<xs:element name="e"><xs:complexType><xs:sequence>"#;
+        let close = "</xs:sequence></xs:complexType></xs:element>";
+        format!(
+            r#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">{}{}</xs:schema>"#,
+            open.repeat(levels),
+            close.repeat(levels)
+        )
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let input = nested_xsd(100_000);
+        let outcome = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse_xsd(&input).map(|g| g.len()))
+            .unwrap()
+            .join()
+            .expect("the parser must not overflow a 2 MiB stack");
+        let err = outcome.unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
+        // Just inside the bound still parses.
+        assert_eq!(
+            parse_xsd(&nested_xsd(MAX_XSD_DEPTH)).unwrap().len(),
+            MAX_XSD_DEPTH
+        );
     }
 }

@@ -314,5 +314,12 @@ pub(crate) fn render(cache: &CacheStats, catalog: &CatalogStats, http: &HttpServ
         "Admin broadcasts that failed to reach a peer.",
         http.fanout_failed,
     );
+    family(
+        &mut out,
+        "schema_summary_worker_panics_total",
+        "counter",
+        "Pooled jobs that panicked; each was answered 500.",
+        http.worker_panics,
+    );
     out
 }

@@ -89,6 +89,8 @@ pub struct HttpServerStats {
     pub fanout_sent: u64,
     /// Admin broadcasts that failed to reach a peer.
     pub fanout_failed: u64,
+    /// Pooled jobs that panicked; each was answered `500`.
+    pub worker_panics: u64,
 }
 
 impl fmt::Display for HttpServerStats {

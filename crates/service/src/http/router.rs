@@ -267,12 +267,10 @@ fn admin_refresh(service: &SummaryService, body: &[u8]) -> HttpResponse {
         Ok(fp) => fp,
         Err(resp) => return resp,
     };
-    let stats_before = service.cache_stats();
-    let delta = match service.refresh_between(old_fp, new_fp) {
-        Ok(d) => d,
+    let (delta, outcome) = match service.refresh_between(old_fp, new_fp) {
+        Ok(refreshed) => refreshed,
         Err(e) => return HttpResponse::service_error(&e),
     };
-    let stats_after = service.cache_stats();
     #[derive(serde::Serialize)]
     struct RefreshReply {
         old: String,
@@ -290,8 +288,8 @@ fn admin_refresh(service: &SummaryService, body: &[u8]) -> HttpResponse {
         new: new_fp.to_hex(),
         empty: delta.is_empty(),
         class: delta.class.as_str().to_string(),
-        warm: stats_after.delta_refreshes > stats_before.delta_refreshes,
-        rows_recomputed: stats_after.delta_rows_recomputed - stats_before.delta_rows_recomputed,
+        warm: outcome.warm,
+        rows_recomputed: outcome.rows_recomputed,
     };
     HttpResponse::json(
         200,

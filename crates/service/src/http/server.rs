@@ -24,6 +24,7 @@ pub(crate) struct Node {
     request_timeout: Duration,
     connections: Arc<Connections>,
     timed_out: AtomicU64,
+    worker_panics: AtomicU64,
     /// Peer broadcaster for admin mutations; `None` without `--peer`s.
     pub fanout: Option<Fanout>,
 }
@@ -38,6 +39,7 @@ impl Node {
             active_connections: self.connections.active(),
             fanout_sent: self.fanout.as_ref().map_or(0, Fanout::sent),
             fanout_failed: self.fanout.as_ref().map_or(0, Fanout::failed),
+            worker_panics: self.worker_panics.load(Ordering::Relaxed),
         }
     }
 
@@ -74,11 +76,16 @@ impl Node {
                     format!("request exceeded {:?}", self.request_timeout),
                 ))
             }
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(HttpResponse::error(
-                500,
-                "internal",
-                "worker dropped the request",
-            )),
+            // The pool runs every queued job before it shuts down, so a
+            // reply sender dropped unsent means the job panicked.
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                self.worker_panics.fetch_add(1, Ordering::Relaxed);
+                Err(HttpResponse::error(
+                    500,
+                    "internal",
+                    "worker dropped the request",
+                ))
+            }
         }
     }
 }
@@ -122,6 +129,7 @@ impl HttpServer {
                 request_timeout: config.request_timeout,
                 connections,
                 timed_out: AtomicU64::new(0),
+                worker_panics: AtomicU64::new(0),
                 fanout: (!config.peers.is_empty())
                     .then(|| Fanout::new(config.peers, config.request_timeout)),
             },
@@ -157,5 +165,42 @@ impl HttpServer {
     pub fn shutdown(mut self) -> HttpServerStats {
         self.listener.shutdown();
         self.stats()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::client::NodeClient;
+
+    #[test]
+    fn a_panicking_job_answers_500_and_is_counted() {
+        let server = HttpServer::bind(
+            "127.0.0.1:0",
+            Arc::new(SummaryService::default()),
+            HttpConfig::default(),
+        )
+        .unwrap();
+        let node = server.listener.frontend();
+        let reply = node.execute::<()>(|_| panic!("job panics on purpose"));
+        assert_eq!(reply.unwrap_err().status, 500);
+        assert_eq!(server.stats().worker_panics, 1);
+
+        let client = NodeClient::new(Duration::from_secs(5), Duration::from_secs(5));
+        let addr = server.local_addr().to_string();
+        let metrics = client
+            .request(&addr, "GET", "/metrics", None, &[], b"")
+            .unwrap();
+        let page = String::from_utf8(metrics.body).unwrap();
+        assert!(
+            page.lines()
+                .any(|l| l == "schema_summary_worker_panics_total 1"),
+            "{page}"
+        );
+        let health = client
+            .request(&addr, "GET", "/healthz", None, &[], b"")
+            .unwrap();
+        assert_eq!(health.status, 200);
+        server.shutdown();
     }
 }

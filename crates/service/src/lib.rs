@@ -82,7 +82,7 @@ pub use cluster::{ClusterRouter, ProbeConfig, RendezvousRing, RouterConfig, Rout
 pub use export::{ExportElement, SummaryExport};
 pub use http::{HttpConfig, HttpServer, HttpServerStats, WireError};
 pub use service::{
-    CacheEntryInfo, CacheStats, CatalogStats, ExpandResult, ExpandSpec, GroupView, LevelView,
+    CacheEntryInfo, CacheStats, CatalogStats, DeltaOutcome, ExpandResult, ExpandSpec, GroupView, LevelView,
     MultiLevelArtifact, MultiLevelResult, ServedExpansion, ServedMultiLevel, ServedReply,
     ServedSummary, ServiceConfig, ServiceError, SummaryRequest, SummaryResult, SummaryService,
 };

@@ -358,6 +358,19 @@ impl CacheStats {
     }
 }
 
+/// What [`SummaryService::apply_delta`] did with one schema delta: this
+/// refresh's own outcome, unaffected by refreshes running beside it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeltaOutcome {
+    /// Cached results dropped with the old fingerprint.
+    pub dropped: usize,
+    /// Whether the new fingerprint's matrices were spliced warm from the
+    /// old fingerprint's.
+    pub warm: bool,
+    /// Matrix rows the warm splice re-explored (0 when cold).
+    pub rows_recomputed: u64,
+}
+
 /// One resident result-cache entry, as reported by the admin plane
 /// ([`SummaryService::cached_entries`]).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -1006,23 +1019,30 @@ impl SummaryService {
     /// cold service whenever the importance ranking is stable under that
     /// ε perturbation (scores within ε of each other may order
     /// differently). Otherwise the old fingerprint is simply
-    /// invalidated, as before. Returns the number of cached results
-    /// dropped either way.
-    pub fn apply_delta(&self, delta: &SchemaDelta) -> usize {
+    /// invalidated, as before. Returns what this refresh did: the cached
+    /// results dropped, whether it ran warm, and the rows it recomputed.
+    pub fn apply_delta(&self, delta: &SchemaDelta) -> DeltaOutcome {
         match self.store.refresh(
             delta.old_fingerprint,
             delta.new_fingerprint,
             delta,
             self.config.delta_max_fraction,
         ) {
-            RefreshOutcome::Noop => 0,
+            RefreshOutcome::Noop => DeltaOutcome::default(),
             RefreshOutcome::Cold(dropped) => {
                 if let Some(journal) = &self.journal {
                     journal.append_retire(delta.old_fingerprint);
                 }
-                dropped
+                DeltaOutcome {
+                    dropped,
+                    ..DeltaOutcome::default()
+                }
             }
-            RefreshOutcome::Warm { dropped, derive } => {
+            RefreshOutcome::Warm {
+                dropped,
+                rows,
+                derive,
+            } => {
                 if let Some(journal) = &self.journal {
                     journal.append_retire(delta.old_fingerprint);
                 }
@@ -1034,7 +1054,11 @@ impl SummaryService {
                         &row_changed,
                     );
                 }
-                dropped
+                DeltaOutcome {
+                    dropped,
+                    warm: true,
+                    rows_recomputed: rows,
+                }
             }
         }
     }
@@ -1115,12 +1139,12 @@ impl SummaryService {
     /// Admin entry point (`POST /admin/refresh`): diff two registered
     /// fingerprints and route the delta through the warm refresh path,
     /// exactly as [`SummaryService::update_named`] does on re-register.
-    /// Returns the delta.
+    /// Returns the delta and what this refresh did with it.
     pub fn refresh_between(
         &self,
         old_fp: SchemaFingerprint,
         new_fp: SchemaFingerprint,
-    ) -> Result<SchemaDelta, ServiceError> {
+    ) -> Result<(SchemaDelta, DeltaOutcome), ServiceError> {
         let old = self
             .store
             .catalog()
@@ -1131,14 +1155,15 @@ impl SummaryService {
             // already-applied update: identical content, nothing to diff.
             // Short-circuit without touching the store so no cached
             // result is purged and no delta counter moves.
-            return Ok(SchemaDelta::between(
+            let delta = SchemaDelta::between(
                 old_fp,
                 old.graph(),
                 old.stats(),
                 old_fp,
                 old.graph(),
                 old.stats(),
-            ));
+            );
+            return Ok((delta, DeltaOutcome::default()));
         }
         let new = self
             .store
@@ -1155,8 +1180,8 @@ impl SummaryService {
             new.graph(),
             new.stats(),
         );
-        self.apply_delta(&delta);
-        Ok(delta)
+        let outcome = self.apply_delta(&delta);
+        Ok((delta, outcome))
     }
 
     /// Re-register a named schema with fresh content: registers the new
@@ -1801,6 +1826,85 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_refreshes_each_report_their_own_outcome() {
+        // Edge-touch pairs: bumping `person` re-explores rows warm. Each
+        // pair differs in `name`'s cardinality, so fingerprints are distinct.
+        let pair = |i: u64| {
+            (
+                fixture_with_cards(201 + i, 200),
+                fixture_with_cards(201 + i, 300),
+            )
+        };
+        let register_pair = |service: &SummaryService, (old, new): &(_, _)| {
+            let (og, os): &(Arc<SchemaGraph>, Arc<SchemaStats>) = old;
+            let (ng, ns): &(Arc<SchemaGraph>, Arc<SchemaStats>) = new;
+            let old_fp = service.register(Arc::clone(og), Arc::clone(os));
+            let new_fp = service.register(Arc::clone(ng), Arc::clone(ns));
+            (old_fp, new_fp)
+        };
+        // What each warm refresh recomputes when it runs alone.
+        let expected: Vec<u64> = (0..6)
+            .map(|i| {
+                let service = SummaryService::new(ServiceConfig {
+                    delta_max_fraction: 1.0,
+                    ..ServiceConfig::default()
+                });
+                let (old_fp, new_fp) = register_pair(&service, &pair(i));
+                service
+                    .summarize(old_fp, Algorithm::MaxCoverage, 2)
+                    .unwrap();
+                let (_, outcome) = service.refresh_between(old_fp, new_fp).unwrap();
+                assert!(outcome.warm && outcome.rows_recomputed > 0);
+                outcome.rows_recomputed
+            })
+            .collect();
+        for _round in 0..20 {
+            let service = SummaryService::new(ServiceConfig {
+                delta_max_fraction: 1.0,
+                ..ServiceConfig::default()
+            });
+            let warm: Vec<_> = (0..6).map(|i| register_pair(&service, &pair(i))).collect();
+            let destructive = register_pair(&service, &(grown_fixture(), fixture()));
+            for &(old_fp, _) in warm.iter().chain([&destructive]) {
+                service
+                    .summarize(old_fp, Algorithm::MaxCoverage, 2)
+                    .unwrap();
+            }
+            let start = std::sync::Barrier::new(warm.len() + 1);
+            std::thread::scope(|scope| {
+                let cold = scope.spawn(|| {
+                    start.wait();
+                    service
+                        .refresh_between(destructive.0, destructive.1)
+                        .unwrap()
+                });
+                let warm_runs: Vec<_> = warm
+                    .iter()
+                    .map(|&(old_fp, new_fp)| {
+                        let start = &start;
+                        let service = &service;
+                        scope.spawn(move || {
+                            start.wait();
+                            service.refresh_between(old_fp, new_fp).unwrap()
+                        })
+                    })
+                    .collect();
+                let (delta, outcome) = cold.join().unwrap();
+                assert_eq!(delta.class, DeltaClass::Destructive);
+                assert!(!outcome.warm && outcome.rows_recomputed == 0, "{outcome:?}");
+                for (run, rows) in warm_runs.into_iter().zip(&expected) {
+                    let (delta, outcome) = run.join().unwrap();
+                    assert_eq!(delta.class, DeltaClass::EdgeTouch);
+                    assert!(
+                        outcome.warm && outcome.rows_recomputed == *rows,
+                        "{outcome:?}"
+                    );
+                }
+            });
+        }
+    }
+
+    #[test]
     fn self_refresh_between_short_circuits_without_purging() {
         let service = SummaryService::default();
         let (g, s) = fixture();
@@ -1811,7 +1915,8 @@ mod tests {
         // Refreshing a fingerprint onto itself is a retry of an already-
         // applied update: it must answer with the empty delta and leave
         // every counter and cached result untouched.
-        let delta = service.refresh_between(fp, fp).unwrap();
+        let (delta, outcome) = service.refresh_between(fp, fp).unwrap();
+        assert_eq!(outcome, DeltaOutcome::default());
         assert!(delta.is_empty());
         assert_eq!(delta.class, DeltaClass::Rescale);
         assert_eq!(delta.old_fingerprint, fp);

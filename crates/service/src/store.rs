@@ -234,6 +234,8 @@ pub(crate) enum RefreshOutcome {
     Warm {
         /// Cached results dropped with the old fingerprint.
         dropped: usize,
+        /// Matrix rows this refresh re-explored.
+        rows: u64,
         /// Old result keys whose artifacts can be re-derived warm: the
         /// key, the old cached artifact, and the recompute mask of the
         /// key's configuration.
@@ -532,7 +534,11 @@ impl ArtifactStore {
         self.delta_rows_recomputed
             .fetch_add(rows_total, Ordering::Relaxed);
         let dropped = self.invalidate(old_fp);
-        RefreshOutcome::Warm { dropped, derive }
+        RefreshOutcome::Warm {
+            dropped,
+            rows: rows_total,
+            derive,
+        }
     }
 
     /// Drop one fingerprint from every tier: catalog entry (with memoized
