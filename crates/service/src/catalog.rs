@@ -16,9 +16,11 @@
 //! When the owning store has a disk tier, the all-pairs matrices — the
 //! most expensive artifact — are spilled there in their bit-exact binary
 //! form and rehydrated on the next process's first request instead of
-//! recomputed. `SchemaCatalog::compute_counters` tells the two apart.
+//! recomputed. `matrices_computed` and `matrices_rehydrated` in
+//! [`CacheStats`](crate::CacheStats) tell the two apart.
 
 use crate::disk::{DiskTier, SpillSource, KIND_MATRICES};
+use crate::signals::CacheCells;
 use schema_summary_algo::importance::{compute_importance, compute_importance_rebased};
 use schema_summary_algo::{DominanceSet, ImportanceResult, PairMatrices, SummarizerConfig};
 use schema_summary_core::{SchemaFingerprint, SchemaGraph, SchemaStats};
@@ -31,40 +33,6 @@ use std::time::Instant;
 
 /// Default number of catalog shards (independent registry locks).
 pub const DEFAULT_CATALOG_SHARDS: usize = 8;
-
-/// How matrices were obtained, cumulatively: actually computed vs
-/// rehydrated from the disk tier. Shared by every [`Artifacts`] of one
-/// catalog.
-#[derive(Default)]
-pub(crate) struct ComputeCounters {
-    matrices_computed: AtomicU64,
-    matrices_rehydrated: AtomicU64,
-    importance_seeded: AtomicU64,
-    importance_iterations_saved: AtomicU64,
-}
-
-impl ComputeCounters {
-    pub fn matrices_computed(&self) -> u64 {
-        self.matrices_computed.load(Ordering::Relaxed)
-    }
-
-    pub fn matrices_rehydrated(&self) -> u64 {
-        self.matrices_rehydrated.load(Ordering::Relaxed)
-    }
-
-    /// Importance fixpoints started from a previous version's vector
-    /// instead of the cold cardinality init.
-    pub fn importance_seeded(&self) -> u64 {
-        self.importance_seeded.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative iterations the seeded restarts stopped short of their
-    /// cold baseline (the iteration count of the chain's original cold
-    /// run, carried forward across versions).
-    pub fn importance_iterations_saved(&self) -> u64 {
-        self.importance_iterations_saved.load(Ordering::Relaxed)
-    }
-}
 
 /// Canonical disk-tier key-meta for one schema's matrices under one
 /// configuration.
@@ -89,7 +57,7 @@ pub struct Artifacts {
     stats: Arc<SchemaStats>,
     config: SummarizerConfig,
     disk: Option<Arc<DiskTier>>,
-    counters: Arc<ComputeCounters>,
+    cells: Arc<CacheCells>,
     importance: OnceLock<Arc<ImportanceResult>>,
     /// A previous version's importance vector staged by the warm refresh
     /// path, consumed (at most once) by the first [`Artifacts::importance`]
@@ -120,7 +88,7 @@ impl Artifacts {
         stats: Arc<SchemaStats>,
         config: SummarizerConfig,
         disk: Option<Arc<DiskTier>>,
-        counters: Arc<ComputeCounters>,
+        cells: Arc<CacheCells>,
     ) -> Self {
         Artifacts {
             fingerprint,
@@ -128,7 +96,7 @@ impl Artifacts {
             stats,
             config,
             disk,
-            counters,
+            cells,
             importance: OnceLock::new(),
             importance_seed: Mutex::new(None),
             importance_baseline: AtomicU64::new(0),
@@ -170,8 +138,8 @@ impl Artifacts {
                     // compare against each other's already-short restarts.
                     let baseline = baseline.max(previous.iterations as u64);
                     self.importance_baseline.store(baseline, Ordering::Relaxed);
-                    self.counters.importance_seeded.fetch_add(1, Ordering::Relaxed);
-                    self.counters.importance_iterations_saved.fetch_add(
+                    self.cells.importance_seeded.fetch_add(1, Ordering::Relaxed);
+                    self.cells.importance_iterations_saved.fetch_add(
                         baseline.saturating_sub(result.iterations as u64),
                         Ordering::Relaxed,
                     );
@@ -240,7 +208,7 @@ impl Artifacts {
                     &meta,
                     PairMatrices::from_bytes,
                 ) {
-                    self.counters
+                    self.cells
                         .matrices_rehydrated
                         .fetch_add(1, Ordering::Relaxed);
                     self.matrices_micros.store(cost.max(1), Ordering::Relaxed);
@@ -251,9 +219,7 @@ impl Artifacts {
             let matrices = Arc::new(PairMatrices::compute(&self.stats, &self.config.paths));
             let micros = (start.elapsed().as_micros() as u64).max(1);
             self.matrices_micros.store(micros, Ordering::Relaxed);
-            self.counters
-                .matrices_computed
-                .fetch_add(1, Ordering::Relaxed);
+            self.cells.matrices_computed.fetch_add(1, Ordering::Relaxed);
             self.spill(&matrices, micros);
             matrices
         })
@@ -326,7 +292,7 @@ pub struct CatalogEntry {
     graph: Arc<SchemaGraph>,
     stats: Arc<SchemaStats>,
     disk: Option<Arc<DiskTier>>,
-    counters: Arc<ComputeCounters>,
+    cells: Arc<CacheCells>,
     /// Artifacts keyed by the summarizer configuration that produced them.
     memo: Mutex<HashMap<SummarizerConfig, Arc<Artifacts>>>,
 }
@@ -371,7 +337,7 @@ impl CatalogEntry {
                     Arc::clone(&self.stats),
                     config.clone(),
                     self.disk.clone(),
-                    Arc::clone(&self.counters),
+                    Arc::clone(&self.cells),
                 ))
             })
             .clone()
@@ -383,12 +349,12 @@ impl CatalogEntry {
 pub struct SchemaCatalog {
     shards: Vec<RwLock<HashMap<SchemaFingerprint, Arc<CatalogEntry>>>>,
     disk: Option<Arc<DiskTier>>,
-    counters: Arc<ComputeCounters>,
+    cells: Arc<CacheCells>,
 }
 
 impl Default for SchemaCatalog {
     fn default() -> Self {
-        Self::with_tiers(DEFAULT_CATALOG_SHARDS, None)
+        Self::with_tiers(DEFAULT_CATALOG_SHARDS, None, Arc::default())
     }
 }
 
@@ -401,13 +367,17 @@ impl SchemaCatalog {
 
     /// Create an empty catalog with `shards` registry locks and an
     /// optional disk tier for matrix spill/rehydration.
-    pub(crate) fn with_tiers(shards: usize, disk: Option<Arc<DiskTier>>) -> Self {
+    pub(crate) fn with_tiers(
+        shards: usize,
+        disk: Option<Arc<DiskTier>>,
+        cells: Arc<CacheCells>,
+    ) -> Self {
         SchemaCatalog {
             shards: (0..shards.max(1))
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect(),
             disk,
-            counters: Arc::new(ComputeCounters::default()),
+            cells,
         }
     }
 
@@ -418,10 +388,6 @@ impl SchemaCatalog {
         let mut h = DefaultHasher::new();
         fingerprint.hash(&mut h);
         &self.shards[(h.finish() as usize) % self.shards.len()]
-    }
-
-    pub(crate) fn compute_counters(&self) -> &ComputeCounters {
-        &self.counters
     }
 
     /// Register an annotated schema, returning its fingerprint and entry.
@@ -442,7 +408,7 @@ impl SchemaCatalog {
                     graph,
                     stats,
                     disk: self.disk.clone(),
-                    counters: Arc::clone(&self.counters),
+                    cells: Arc::clone(&self.cells),
                     memo: Mutex::new(HashMap::new()),
                 })
             })
@@ -555,8 +521,9 @@ mod tests {
         assert_eq!(i1, i2);
         assert!(!a1.matrices().is_empty());
         let _ = a1.dominance();
-        assert_eq!(catalog.compute_counters().matrices_computed(), 1);
-        assert_eq!(catalog.compute_counters().matrices_rehydrated(), 0);
+        let counts = catalog.cells.snapshot();
+        assert_eq!(counts.matrices_computed, 1);
+        assert_eq!(counts.matrices_rehydrated, 0);
     }
 
     #[test]
@@ -600,7 +567,7 @@ mod tests {
 
     #[test]
     fn shard_lens_sum_to_len() {
-        let catalog = SchemaCatalog::with_tiers(4, None);
+        let catalog = SchemaCatalog::with_tiers(4, None, Arc::default());
         let (g, s) = fixture();
         catalog.register(g, Arc::clone(&s));
         let mut b = SchemaGraphBuilder::new("other");
@@ -621,26 +588,31 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let disk = Arc::new(DiskTier::open(&dir).unwrap());
+        let disk_cells = Arc::new(CacheCells::default());
+        let disk =
+            Arc::new(DiskTier::open_with_quota(&dir, None, Arc::clone(&disk_cells)).unwrap());
         let (g, s) = fixture();
         let cfg = SummarizerConfig::default();
 
         // First catalog computes and spills.
-        let first = SchemaCatalog::with_tiers(2, Some(Arc::clone(&disk)));
+        let first = SchemaCatalog::with_tiers(2, Some(Arc::clone(&disk)), Arc::default());
         let (_, entry) = first.register(Arc::clone(&g), Arc::clone(&s));
         let computed = entry.artifacts(&cfg);
         let reference = computed.matrices().clone();
-        assert_eq!(first.compute_counters().matrices_computed(), 1);
+        assert_eq!(first.cells.snapshot().matrices_computed, 1);
         disk.flush();
-        assert!(disk.writes() >= 1);
+        assert!(disk_cells.snapshot().disk_writes >= 1);
 
         // A fresh catalog on the same directory rehydrates, not recomputes.
-        let second = SchemaCatalog::with_tiers(2, Some(Arc::clone(&disk)));
+        let second = SchemaCatalog::with_tiers(2, Some(Arc::clone(&disk)), Arc::default());
         let (_, entry) = second.register(Arc::clone(&g), Arc::clone(&s));
         let rehydrated = entry.artifacts(&cfg);
         let matrices = rehydrated.matrices();
-        assert_eq!(second.compute_counters().matrices_computed(), 0);
-        assert_eq!(second.compute_counters().matrices_rehydrated(), 1);
+        let counts = second.cells.snapshot();
+        assert_eq!(
+            (counts.matrices_computed, counts.matrices_rehydrated),
+            (0, 1)
+        );
         assert!(rehydrated.matrices_cost_micros() >= 1);
         for a in g.element_ids() {
             for b in g.element_ids() {

@@ -17,14 +17,20 @@
 //! Replay applies records in order — register, retire — reproducing the
 //! live sequence of catalog operations, and stops at the first damaged
 //! record: an append interrupted mid-write leaves a torn tail that is
-//! counted and ignored, never served, and overwritten by later appends.
-//! Replayed registrations then rehydrate their matrices from the disk
-//! tier as usual, so a restart recovers names, graphs, *and* warm
-//! artifacts with zero recomputation.
+//! counted and ignored, never served. Replayed registrations then
+//! rehydrate their matrices from the disk tier as usual, so a restart
+//! recovers names, graphs, *and* warm artifacts with zero recomputation.
+//!
+//! A damaged record would hide every record appended after it from all
+//! later replays, so the journal is cut back to whole records before it
+//! grows: `CatalogJournal::open` truncates the file to the prefix the
+//! replay verified before its first append (and cuts nothing when the
+//! replay could not read the file), and an append whose write fails
+//! truncates the file back to its length before that write.
 
 use schema_summary_core::{SchemaFingerprint, SchemaGraph, SchemaStats};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -67,6 +73,17 @@ struct RecordPayload {
     fingerprint: Option<String>,
 }
 
+/// What [`CatalogJournal::replay`] recovered from a journal.
+pub(crate) struct Replay {
+    /// The decoded operations, in append order.
+    pub entries: Vec<JournalEntry>,
+    /// Damaged records met: 1 when one ended the replay, else 0.
+    pub damaged: u64,
+    /// Bytes of whole, verified records at the head of the file; `None`
+    /// when the file could not be read.
+    pub verified: Option<u64>,
+}
+
 /// An open, appendable catalog journal.
 pub(crate) struct CatalogJournal {
     path: PathBuf,
@@ -79,10 +96,18 @@ impl CatalogJournal {
         dir.join(FILE_NAME)
     }
 
-    /// Open (creating if necessary) the journal for appending.
-    pub fn open(dir: &Path) -> std::io::Result<Self> {
+    /// Open (creating if necessary) the journal for appending, cut to its
+    /// first `verified` bytes: the prefix [`CatalogJournal::replay`]
+    /// verified, so that appends follow the last whole record. `None`
+    /// cuts nothing.
+    pub fn open(dir: &Path, verified: Option<u64>) -> std::io::Result<Self> {
         let path = Self::path_under(dir);
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        if let Some(verified) = verified {
+            if file.metadata()?.len() > verified {
+                file.set_len(verified)?;
+            }
+        }
         Ok(CatalogJournal {
             path,
             file: Mutex::new(file),
@@ -92,7 +117,8 @@ impl CatalogJournal {
     /// Append one framed record. Failures are reported but deliberately
     /// non-fatal to the caller's request: a full disk must not take
     /// serving down, it only costs rehydration fidelity on the next
-    /// restart.
+    /// restart. A failed write is cut back off the file, so the records
+    /// appended after it stay readable.
     fn append(&self, kind: u8, payload: &[u8]) {
         let mut body = Vec::with_capacity(9 + payload.len());
         body.push(kind);
@@ -104,7 +130,14 @@ impl CatalogJournal {
         record.extend_from_slice(&body);
         record.extend_from_slice(&checksum);
         let mut file = self.file.lock().expect("journal file poisoned");
-        if let Err(e) = file.write_all(&record).and_then(|()| file.flush()) {
+        let appended = file.metadata().and_then(|before| {
+            let written = file.write_all(&record).and_then(|()| file.flush());
+            if written.is_err() {
+                let _ = file.set_len(before.len());
+            }
+            written
+        });
+        if let Err(e) = appended {
             eprintln!(
                 "schema-summary: catalog journal append failed ({}): {e}",
                 self.path.display()
@@ -136,42 +169,40 @@ impl CatalogJournal {
         self.append(KIND_RETIRE, json.as_bytes());
     }
 
-    /// Replay the journal under `dir`. Returns the decoded operations in
-    /// append order plus the number of damaged records skipped (a
-    /// damaged record ends the replay: everything after a torn write is
-    /// unframed bytes).
-    pub fn replay(dir: &Path) -> (Vec<JournalEntry>, u64) {
+    /// Replay the journal under `dir`: the decoded operations in append
+    /// order, stopping at the first damaged record (everything after a
+    /// torn write is unframed bytes). A missing journal replays empty.
+    pub fn replay(dir: &Path) -> Replay {
         let path = Self::path_under(dir);
-        let mut bytes = Vec::new();
-        match File::open(&path) {
-            Ok(mut file) => {
-                if file.read_to_end(&mut bytes).is_err() {
-                    return (Vec::new(), 1);
-                }
-            }
-            Err(_) => return (Vec::new(), 0),
-        }
+        let unread = |damaged| Replay {
+            entries: Vec::new(),
+            damaged,
+            verified: None,
+        };
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == ErrorKind::NotFound => return unread(0),
+            Err(_) => return unread(1),
+        };
         let mut entries = Vec::new();
         let mut offset = 0usize;
         while offset < bytes.len() {
-            match decode_record(&bytes[offset..]) {
-                Some((entry, consumed)) => {
-                    if let Some(entry) = entry {
-                        entries.push(entry);
-                    }
-                    offset += consumed;
-                }
-                None => {
-                    eprintln!(
-                        "schema-summary: catalog journal damaged at byte {offset} ({}); \
-                         replay truncated",
-                        path.display()
-                    );
-                    return (entries, 1);
-                }
-            }
+            let Some((entry, consumed)) = decode_record(&bytes[offset..]) else {
+                eprintln!(
+                    "schema-summary: catalog journal damaged at byte {offset} ({}); \
+                     replay truncated",
+                    path.display()
+                );
+                break;
+            };
+            entries.extend(entry);
+            offset += consumed;
         }
-        (entries, 0)
+        Replay {
+            entries,
+            damaged: u64::from(offset < bytes.len()),
+            verified: Some(offset as u64),
+        }
     }
 }
 
@@ -220,6 +251,7 @@ fn decode_record(bytes: &[u8]) -> Option<(Option<JournalEntry>, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use schema_summary_core::{SchemaGraphBuilder, SchemaType};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -251,12 +283,16 @@ mod tests {
         let (graph, stats) = fixture();
         let fp = SchemaFingerprint::of_bytes(b"gone");
         {
-            let journal = CatalogJournal::open(&dir).unwrap();
+            let journal = CatalogJournal::open(&dir, None).unwrap();
             journal.append_register("db", &graph, &stats);
             journal.append_retire(fp);
             journal.append_register("db2", &graph, &stats);
         }
-        let (entries, corrupt) = CatalogJournal::replay(&dir);
+        let Replay {
+            entries,
+            damaged: corrupt,
+            ..
+        } = CatalogJournal::replay(&dir);
         assert_eq!(corrupt, 0);
         assert_eq!(entries.len(), 3);
         match &entries[0] {
@@ -276,7 +312,11 @@ mod tests {
     #[test]
     fn missing_journal_replays_empty() {
         let dir = temp_dir("missing");
-        let (entries, corrupt) = CatalogJournal::replay(&dir);
+        let Replay {
+            entries,
+            damaged: corrupt,
+            ..
+        } = CatalogJournal::replay(&dir);
         assert!(entries.is_empty());
         assert_eq!(corrupt, 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -287,7 +327,7 @@ mod tests {
         let dir = temp_dir("torn");
         let (graph, stats) = fixture();
         {
-            let journal = CatalogJournal::open(&dir).unwrap();
+            let journal = CatalogJournal::open(&dir, None).unwrap();
             journal.append_register("db", &graph, &stats);
             journal.append_register("db2", &graph, &stats);
         }
@@ -295,7 +335,11 @@ mod tests {
         let path = CatalogJournal::path_under(&dir);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
-        let (entries, corrupt) = CatalogJournal::replay(&dir);
+        let Replay {
+            entries,
+            damaged: corrupt,
+            ..
+        } = CatalogJournal::replay(&dir);
         assert_eq!(corrupt, 1);
         assert_eq!(entries.len(), 1, "the intact prefix survives");
         // A flipped payload byte is caught by the checksum, not served.
@@ -303,9 +347,143 @@ mod tests {
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x40;
         std::fs::write(&path, &flipped).unwrap();
-        let (entries, corrupt) = CatalogJournal::replay(&dir);
+        let Replay {
+            entries,
+            damaged: corrupt,
+            ..
+        } = CatalogJournal::replay(&dir);
         assert_eq!(corrupt, 1);
         assert!(entries.len() <= 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // --- Hostile bytes for `replay`. ---
+
+    fn keys(entries: &[JournalEntry]) -> Vec<String> {
+        entries
+            .iter()
+            .map(|entry| match entry {
+                JournalEntry::Register { name, .. } => format!("register {name}"),
+                JournalEntry::Retire(fp) => format!("retire {fp}"),
+            })
+            .collect()
+    }
+
+    /// A valid journal of three records (register, retire, register)
+    /// written afresh under `dir`: its bytes, the records' keys, and the
+    /// offset where each record ends.
+    fn three_records(dir: &Path) -> (Vec<u8>, Vec<String>, Vec<usize>) {
+        let (graph, stats) = fixture();
+        let path = CatalogJournal::path_under(dir);
+        let _ = std::fs::remove_file(&path);
+        let journal = CatalogJournal::open(dir, None).unwrap();
+        let end = || std::fs::metadata(&path).unwrap().len() as usize;
+        journal.append_register("db", &graph, &stats);
+        let mut ends = vec![end()];
+        journal.append_retire(SchemaFingerprint::of_bytes(b"gone"));
+        ends.push(end());
+        journal.append_register("db2", &graph, &stats);
+        ends.push(end());
+        let appended = keys(&CatalogJournal::replay(dir).entries);
+        assert_eq!(appended.len(), 3);
+        (std::fs::read(&path).unwrap(), appended, ends)
+    }
+
+    /// Replay `bytes` as the journal under `dir`. Whatever they hold, the
+    /// replay returns, reports at most one damaged record and yields a
+    /// prefix of the `appended` records.
+    fn replay_of(dir: &Path, bytes: &[u8], appended: &[String]) -> Replay {
+        std::fs::write(CatalogJournal::path_under(dir), bytes).unwrap();
+        let replay = CatalogJournal::replay(dir);
+        assert!(replay.damaged <= 1, "{} damaged", replay.damaged);
+        let replayed = keys(&replay.entries);
+        assert!(
+            appended.starts_with(&replayed),
+            "{replayed:?} is not a prefix of {appended:?}"
+        );
+        replay
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn arbitrary_bytes_replay_no_record_of_their_own(
+            garbage in prop::collection::vec(any::<u8>(), 0..512),
+        ) {
+            let dir = temp_dir("arbitrary");
+            let alone = replay_of(&dir, &garbage, &[]);
+            prop_assert!(alone.entries.is_empty());
+            prop_assert_eq!(alone.damaged, u64::from(!garbage.is_empty()));
+            // After whole records, the same bytes cost nothing before them.
+            let (mut bytes, appended, ends) = three_records(&dir);
+            bytes.extend_from_slice(&garbage);
+            let after = replay_of(&dir, &bytes, &appended);
+            prop_assert_eq!(after.entries.len(), 3);
+            prop_assert_eq!(after.verified, Some(ends[2] as u64));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn every_truncation_replays_the_whole_records_before_the_cut() {
+        let dir = temp_dir("truncations");
+        let (valid, appended, ends) = three_records(&dir);
+        for len in 0..=valid.len() {
+            let replay = replay_of(&dir, &valid[..len], &appended);
+            let whole = ends.iter().filter(|&&end| end <= len).count();
+            assert_eq!(replay.entries.len(), whole, "cut at {len}");
+            let verified = whole.checked_sub(1).map_or(0, |last| ends[last]);
+            assert_eq!(replay.verified, Some(verified as u64), "cut at {len}");
+            assert_eq!(replay.damaged, u64::from(len > verified), "cut at {len}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_single_byte_overwrite_ends_the_replay_at_its_record() {
+        let dir = temp_dir("overwrites");
+        let (valid, appended, ends) = three_records(&dir);
+        for pos in 0..valid.len() {
+            for flip in [0x01, 0x80, 0xff] {
+                let mut bytes = valid.clone();
+                bytes[pos] ^= flip;
+                let replay = replay_of(&dir, &bytes, &appended);
+                let intact = ends.iter().filter(|&&end| end <= pos).count();
+                assert_eq!(replay.entries.len(), intact, "byte {pos} ^ {flip:#x}");
+                assert_eq!(replay.damaged, 1, "byte {pos} ^ {flip:#x}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_cuts_a_damaged_tail_so_later_appends_replay() {
+        let dir = temp_dir("cut");
+        let (valid, appended, ends) = three_records(&dir);
+        std::fs::write(CatalogJournal::path_under(&dir), &valid[..valid.len() - 7]).unwrap();
+        let replay = CatalogJournal::replay(&dir);
+        assert_eq!((replay.entries.len(), replay.damaged), (2, 1));
+        assert_eq!(replay.verified, Some(ends[1] as u64));
+        let journal = CatalogJournal::open(&dir, replay.verified).unwrap();
+        journal.append_retire(SchemaFingerprint::of_bytes(b"later"));
+        let replay = CatalogJournal::replay(&dir);
+        assert_eq!(replay.damaged, 0);
+        let mut expected = appended[..2].to_vec();
+        expected.push(format!("retire {}", SchemaFingerprint::of_bytes(b"later")));
+        assert_eq!(keys(&replay.entries), expected);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_without_a_verified_length_cuts_nothing() {
+        let dir = temp_dir("uncut");
+        let (valid, _, _) = three_records(&dir);
+        drop(CatalogJournal::open(&dir, None).unwrap());
+        assert_eq!(
+            std::fs::read(CatalogJournal::path_under(&dir)).unwrap(),
+            valid
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

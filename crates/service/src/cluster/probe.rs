@@ -16,7 +16,8 @@
 //! never manufactures a total outage.
 
 use crate::cluster::client::NodeClient;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use crate::signals::RouterCells;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -48,12 +49,12 @@ pub(crate) struct HealthState {
     healthy: Vec<AtomicBool>,
     failures: Vec<AtomicU32>,
     eject_after: u32,
-    ejections: AtomicU64,
-    readmissions: AtomicU64,
+    /// The router's counters: ejections and readmissions count here.
+    cells: Arc<RouterCells>,
 }
 
 impl HealthState {
-    pub fn new(nodes: Vec<String>, eject_after: u32) -> Self {
+    pub fn new(nodes: Vec<String>, eject_after: u32, cells: Arc<RouterCells>) -> Self {
         let healthy = nodes.iter().map(|_| AtomicBool::new(true)).collect();
         let failures = nodes.iter().map(|_| AtomicU32::new(0)).collect();
         HealthState {
@@ -61,8 +62,7 @@ impl HealthState {
             healthy,
             failures,
             eject_after: eject_after.max(1),
-            ejections: AtomicU64::new(0),
-            readmissions: AtomicU64::new(0),
+            cells,
         }
     }
 
@@ -77,20 +77,12 @@ impl HealthState {
             .count()
     }
 
-    pub fn ejections(&self) -> u64 {
-        self.ejections.load(Ordering::Relaxed)
-    }
-
-    pub fn readmissions(&self) -> u64 {
-        self.readmissions.load(Ordering::Relaxed)
-    }
-
     /// Record a failure against a node (probe or proxy). Ejects after
     /// the configured consecutive-failure threshold.
     pub fn note_failure(&self, node: usize) {
         let failures = self.failures[node].fetch_add(1, Ordering::AcqRel) + 1;
         if failures >= self.eject_after && self.healthy[node].swap(false, Ordering::AcqRel) {
-            self.ejections.fetch_add(1, Ordering::Relaxed);
+            self.cells.ejections.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -104,7 +96,7 @@ impl HealthState {
     fn note_probe_success(&self, node: usize) {
         self.failures[node].store(0, Ordering::Release);
         if !self.healthy[node].swap(true, Ordering::AcqRel) {
-            self.readmissions.fetch_add(1, Ordering::Relaxed);
+            self.cells.readmissions.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -175,14 +167,14 @@ mod tests {
 
     #[test]
     fn ejection_needs_the_full_streak_and_readmission_is_probe_only() {
-        let state = HealthState::new(vec!["a:1".into(), "b:2".into()], 3);
+        let state = HealthState::new(vec!["a:1".into(), "b:2".into()], 3, Arc::default());
         assert!(state.is_healthy(0));
         state.note_failure(0);
         state.note_failure(0);
         assert!(state.is_healthy(0), "two failures stay under the threshold");
         state.note_failure(0);
         assert!(!state.is_healthy(0));
-        assert_eq!(state.ejections(), 1);
+        assert_eq!(state.cells.snapshot().ejections, 1);
         assert_eq!(state.healthy_count(), 1);
         // A proxy success clears the streak but does not re-admit.
         state.note_success(0);
@@ -190,12 +182,12 @@ mod tests {
         // A probe success re-admits.
         state.note_probe_success(0);
         assert!(state.is_healthy(0));
-        assert_eq!(state.readmissions(), 1);
+        assert_eq!(state.cells.snapshot().readmissions, 1);
     }
 
     #[test]
     fn success_resets_the_streak() {
-        let state = HealthState::new(vec!["a:1".into()], 2);
+        let state = HealthState::new(vec!["a:1".into()], 2, Arc::default());
         state.note_failure(0);
         state.note_success(0);
         state.note_failure(0);

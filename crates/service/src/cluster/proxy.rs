@@ -32,6 +32,8 @@ use crate::cluster::ring::RendezvousRing;
 use crate::http::request::HttpRequest;
 use crate::http::response::HttpResponse;
 use crate::listener::{Connections, Frontend, Listener};
+pub use crate::signals::RouterStats;
+use crate::signals::{router_page, RouterCells};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -72,59 +74,32 @@ impl Default for RouterConfig {
     }
 }
 
-/// Point-in-time router counters.
-#[derive(Debug, Clone)]
-pub struct RouterStats {
-    /// TCP connections accepted.
-    pub accepted: u64,
-    /// Requests answered (proxied or local).
-    pub served: u64,
-    /// Connections shed by the connection cap.
-    pub shed: u64,
-    /// Requests successfully answered per node, in node order.
-    pub routed: Vec<u64>,
-    /// Failover attempts (a request moving past a failed node).
-    pub retries: u64,
-    /// Proxy hops that ended in a transport error.
-    pub proxy_errors: u64,
-    /// Nodes currently considered healthy.
-    pub nodes_healthy: usize,
-    /// Total configured nodes.
-    pub nodes_total: usize,
-    /// Nodes ejected so far.
-    pub ejections: u64,
-    /// Nodes re-admitted so far.
-    pub readmissions: u64,
-}
-
 struct RouterInner {
     config: RouterConfig,
     ring: RendezvousRing,
     client: NodeClient,
     health: Arc<HealthState>,
     connections: Arc<Connections>,
+    cells: Arc<RouterCells>,
+    /// Requests answered per node, in node order.
     routed: Vec<AtomicU64>,
-    retries: AtomicU64,
-    proxy_errors: AtomicU64,
 }
 
 impl RouterInner {
     fn stats(&self) -> RouterStats {
+        let [accepted, served, shed, _] = self.connections.counts();
         RouterStats {
-            accepted: self.connections.accepted(),
-            served: self.connections.served(),
-            shed: self.connections.shed(),
+            accepted,
+            served,
+            shed,
             routed: self
                 .routed
                 .iter()
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
-            retries: self.retries.load(Ordering::Relaxed),
-            proxy_errors: self.proxy_errors.load(Ordering::Relaxed),
-            nodes_healthy: self.health.healthy_count(),
-            nodes_total: self.ring.len(),
-            ejections: self.health.ejections(),
-            readmissions: self.health.readmissions(),
+            nodes_healthy: self.health.healthy_count() as u64,
+            nodes_total: self.ring.len() as u64,
+            ..self.cells.snapshot()
         }
     }
 
@@ -151,7 +126,7 @@ impl RouterInner {
         let mut last_status: Option<ClientResponse> = None;
         for (attempt, &node_index) in candidates.iter().take(attempts).enumerate() {
             if attempt > 0 {
-                self.retries.fetch_add(1, Ordering::Relaxed);
+                self.cells.retries.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(self.config.retry_backoff * attempt as u32);
             }
             let node = &self.ring.nodes()[node_index];
@@ -171,7 +146,7 @@ impl RouterInner {
                     return relay(resp);
                 }
                 Err(_) => {
-                    self.proxy_errors.fetch_add(1, Ordering::Relaxed);
+                    self.cells.proxy_errors.fetch_add(1, Ordering::Relaxed);
                     self.health.note_failure(node_index);
                 }
             }
@@ -184,90 +159,6 @@ impl RouterInner {
                 format!("no node answered after {attempts} attempts"),
             ),
         }
-    }
-
-    fn render_metrics(&self) -> String {
-        use crate::http::metrics::{family, labeled};
-        let stats = self.stats();
-        let mut out = String::new();
-        let samples: Vec<(&str, &str, u64)> = self
-            .ring
-            .nodes()
-            .iter()
-            .zip(&stats.routed)
-            .map(|(node, &count)| ("node", node.as_str(), count))
-            .collect();
-        labeled(
-            &mut out,
-            "schema_summary_router_routed_total",
-            "counter",
-            "Requests answered per node.",
-            &samples,
-        );
-        family(
-            &mut out,
-            "schema_summary_router_retries_total",
-            "counter",
-            "Failover attempts past a failed or overloaded node.",
-            stats.retries,
-        );
-        family(
-            &mut out,
-            "schema_summary_router_proxy_errors_total",
-            "counter",
-            "Proxied hops that ended in a transport error.",
-            stats.proxy_errors,
-        );
-        family(
-            &mut out,
-            "schema_summary_router_nodes_healthy",
-            "gauge",
-            "Nodes currently passing health probes.",
-            stats.nodes_healthy as u64,
-        );
-        family(
-            &mut out,
-            "schema_summary_router_nodes",
-            "gauge",
-            "Nodes configured in the rendezvous ring.",
-            stats.nodes_total as u64,
-        );
-        family(
-            &mut out,
-            "schema_summary_router_ejections_total",
-            "counter",
-            "Nodes ejected after consecutive failures.",
-            stats.ejections,
-        );
-        family(
-            &mut out,
-            "schema_summary_router_readmissions_total",
-            "counter",
-            "Ejected nodes re-admitted by a successful probe.",
-            stats.readmissions,
-        );
-        family(
-            &mut out,
-            "schema_summary_router_http_accepted_total",
-            "counter",
-            "TCP connections accepted by the router.",
-            stats.accepted,
-        );
-        family(
-            &mut out,
-            "schema_summary_router_http_served_total",
-            "counter",
-            "Requests answered by the router (any status).",
-            stats.served,
-        );
-        family(
-            &mut out,
-            "schema_summary_router_http_shed_total",
-            "counter",
-            "Connections shed by the router's connection cap.",
-            stats.shed,
-        );
-        out
     }
 }
 
@@ -329,7 +220,9 @@ impl Frontend for RouterInner {
                     self.health.healthy_count()
                 ),
             ),
-            ("GET", "/metrics") => HttpResponse::text(200, self.render_metrics()),
+            ("GET", "/metrics") => {
+                HttpResponse::text(200, router_page(&self.stats(), self.ring.nodes()))
+            }
             (_, "/healthz" | "/metrics") => {
                 let mut resp = HttpResponse::error(
                     405,
@@ -366,9 +259,11 @@ impl ClusterRouter {
                 "router needs at least one node",
             ));
         }
+        let cells = Arc::new(RouterCells::default());
         let health = Arc::new(HealthState::new(
             config.nodes.clone(),
             config.probe.eject_after,
+            Arc::clone(&cells),
         ));
         let probe_config = config.probe.clone();
         let listener = Listener::bind(
@@ -380,9 +275,8 @@ impl ClusterRouter {
                 ring: RendezvousRing::new(config.nodes.clone()),
                 health: Arc::clone(&health),
                 connections,
+                cells,
                 routed: config.nodes.iter().map(|_| AtomicU64::new(0)).collect(),
-                retries: AtomicU64::new(0),
-                proxy_errors: AtomicU64::new(0),
                 config,
             },
         )?;

@@ -35,13 +35,14 @@
 //! never a torn one (the checksum catches torn renames on filesystems
 //! without atomic rename anyway).
 
+use crate::signals::CacheCells;
 use crate::store::CachedArtifact;
 use schema_summary_algo::PairMatrices;
 use schema_summary_core::SchemaFingerprint;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
@@ -252,15 +253,11 @@ struct TierState {
     root: PathBuf,
     /// Byte budget for the directory; `None` grows without bound.
     quota: Option<u64>,
-    /// Bytes currently held in `.art` files (best-effort bookkeeping:
-    /// seeded by a directory scan at open, updated on every write and
-    /// removal this process performs).
-    bytes: AtomicU64,
-    hits: AtomicU64,
-    writes: AtomicU64,
-    corrupt: AtomicU64,
-    quota_evictions: AtomicU64,
-    spills_dropped: AtomicU64,
+    /// The store's counters. Its `disk_bytes` is the quota's account of
+    /// the bytes held in `.art` files (best-effort bookkeeping: seeded by
+    /// a directory scan at open, updated on every write and removal this
+    /// process performs).
+    cells: Arc<CacheCells>,
     /// Spills queued or being written, at most `SPILL_QUEUE_BOUND`.
     pending_spills: AtomicUsize,
     /// Queued purges: loads of the keys they cover miss until they ran.
@@ -280,7 +277,7 @@ impl DiskTier {
     /// Open (creating if necessary) a store directory with no byte quota.
     #[cfg(test)]
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Self> {
-        Self::open_with_quota(root, None)
+        Self::open_with_quota(root, None, Arc::default())
     }
 
     /// Open (creating if necessary) a store directory and start its
@@ -288,8 +285,12 @@ impl DiskTier {
     /// directory past it evicts spilled artifacts oldest-first (by
     /// modification time) until the total fits again — evicted artifacts
     /// are recomputed on their next request, so the quota trades
-    /// recompute time for bounded disk.
-    pub fn open_with_quota(root: impl Into<PathBuf>, quota: Option<u64>) -> io::Result<Self> {
+    /// recompute time for bounded disk. The tier counts into `cells`.
+    pub fn open_with_quota(
+        root: impl Into<PathBuf>,
+        quota: Option<u64>,
+        cells: Arc<CacheCells>,
+    ) -> io::Result<Self> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
         let mut bytes = 0u64;
@@ -304,15 +305,11 @@ impl DiskTier {
                 }
             }
         }
+        cells.disk_bytes.store(bytes, Ordering::Relaxed);
         let state = Arc::new(TierState {
             root,
             quota,
-            bytes: AtomicU64::new(bytes),
-            hits: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-            quota_evictions: AtomicU64::new(0),
-            spills_dropped: AtomicU64::new(0),
+            cells,
             pending_spills: AtomicUsize::new(0),
             pending_purges: Mutex::new(HashMap::new()),
         });
@@ -365,16 +362,9 @@ impl DiskTier {
                 .map(|v| (v, cost))
                 .ok_or("payload did not decode")
         });
-        match opened {
-            Ok(found) => {
-                self.state.hits.fetch_add(1, Ordering::Relaxed);
-                Some(found)
-            }
-            Err(reason) => {
-                self.state.discard(&path, reason);
-                None
-            }
-        }
+        opened
+            .inspect_err(|reason| self.state.discard(&path, reason))
+            .ok()
     }
 
     /// Queue a spill of `source` for `(fingerprint, kind, meta)`; returns
@@ -399,7 +389,10 @@ impl DiskTier {
             })
             .is_ok();
         if !admitted {
-            state.spills_dropped.fetch_add(1, Ordering::Relaxed);
+            state
+                .cells
+                .disk_spills_dropped
+                .fetch_add(1, Ordering::Relaxed);
             return;
         }
         let spill = Spill {
@@ -411,7 +404,10 @@ impl DiskTier {
         };
         if self.send(Job::Spill(spill)).is_err() {
             state.pending_spills.fetch_sub(1, Ordering::AcqRel);
-            state.spills_dropped.fetch_add(1, Ordering::Relaxed);
+            state
+                .cells
+                .disk_spills_dropped
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -452,40 +448,6 @@ impl DiskTier {
         let (release, held) = mpsc::channel();
         let _ = self.send(Job::Hold(held));
         release
-    }
-
-    /// Artifacts successfully rehydrated from disk. Service-level code
-    /// distinguishes result rehydrations (`CacheStats::disk_hits`) from
-    /// matrix rehydrations (`CacheStats::matrices_rehydrated`); this raw
-    /// total is only asserted by the tier's own tests.
-    #[cfg(test)]
-    pub fn hits(&self) -> u64 {
-        self.state.hits.load(Ordering::Relaxed)
-    }
-
-    /// Artifacts spilled to disk.
-    pub fn writes(&self) -> u64 {
-        self.state.writes.load(Ordering::Relaxed)
-    }
-
-    /// Files discarded as corrupt (and recomputed).
-    pub fn corrupt(&self) -> u64 {
-        self.state.corrupt.load(Ordering::Relaxed)
-    }
-
-    /// Bytes currently spilled under the store directory (best-effort).
-    pub fn bytes_on_disk(&self) -> u64 {
-        self.state.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Artifacts evicted to keep the directory under its byte quota.
-    pub fn quota_evictions(&self) -> u64 {
-        self.state.quota_evictions.load(Ordering::Relaxed)
-    }
-
-    /// Spills dropped because the queue was full or the spiller gone.
-    pub fn spills_dropped(&self) -> u64 {
-        self.state.spills_dropped.load(Ordering::Relaxed)
     }
 }
 
@@ -560,7 +522,8 @@ impl TierState {
     /// (concurrent removals make the account best-effort, never wrapping).
     fn debit(&self, len: u64) {
         let _ = self
-            .bytes
+            .cells
+            .disk_bytes
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| {
                 Some(b.saturating_sub(len))
             });
@@ -586,7 +549,7 @@ impl TierState {
         let Some(quota) = self.quota else {
             return;
         };
-        if self.bytes.load(Ordering::Relaxed) <= quota {
+        if self.cells.disk_bytes.load(Ordering::Relaxed) <= quota {
             return;
         }
         let Ok(entries) = std::fs::read_dir(&self.root) else {
@@ -606,11 +569,11 @@ impl TierState {
         // Oldest first; path as a deterministic tiebreak on coarse clocks.
         victims.sort();
         for (_, path, _) in victims {
-            if self.bytes.load(Ordering::Relaxed) <= quota {
+            if self.cells.disk_bytes.load(Ordering::Relaxed) <= quota {
                 break;
             }
             if self.remove_accounted(&path) {
-                self.quota_evictions.fetch_add(1, Ordering::Relaxed);
+                self.cells.quota_evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -626,7 +589,7 @@ impl TierState {
     }
 
     fn discard(&self, path: &Path, reason: &str) {
-        self.corrupt.fetch_add(1, Ordering::Relaxed);
+        self.cells.disk_corrupt.fetch_add(1, Ordering::Relaxed);
         eprintln!(
             "warning: schema-summary store: discarding corrupt artifact {} ({reason}); will recompute",
             path.display()
@@ -671,9 +634,11 @@ impl TierState {
         let outcome = std::fs::write(&tmp, &file).and_then(|()| std::fs::rename(&tmp, &path));
         match outcome {
             Ok(()) => {
-                self.writes.fetch_add(1, Ordering::Relaxed);
+                self.cells.disk_writes.fetch_add(1, Ordering::Relaxed);
                 self.debit(previous);
-                self.bytes.fetch_add(file.len() as u64, Ordering::Relaxed);
+                self.cells
+                    .disk_bytes
+                    .fetch_add(file.len() as u64, Ordering::Relaxed);
                 self.enforce_quota(&path);
             }
             Err(e) => {
@@ -714,7 +679,9 @@ impl TierState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CacheStats;
     use proptest::prelude::*;
+    use std::sync::atomic::AtomicU64;
 
     /// A fresh, empty store directory, unique per call.
     fn fresh_dir(tag: &str) -> PathBuf {
@@ -731,6 +698,11 @@ mod tests {
     fn tier() -> (DiskTier, PathBuf) {
         let dir = fresh_dir("test");
         (DiskTier::open(&dir).unwrap(), dir)
+    }
+
+    /// The tier's counters, as the store reports them.
+    fn stats(t: &DiskTier) -> CacheStats {
+        t.state.cells.snapshot()
     }
 
     fn fp(seed: &str) -> SchemaFingerprint {
@@ -797,9 +769,8 @@ mod tests {
             load_raw(&t, f, KIND_MATRICES, "meta-1"),
             Some((b"payload bytes".to_vec(), 42))
         );
-        assert_eq!(t.hits(), 1);
-        assert_eq!(t.writes(), 1);
-        assert_eq!(t.corrupt(), 0);
+        assert_eq!(stats(&t).disk_writes, 1);
+        assert_eq!(stats(&t).disk_corrupt, 0);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -822,7 +793,7 @@ mod tests {
         store_now(&t, f, KIND_FLAT, "meta-a", 1, b"x");
         // Different meta hashes to a different file: a miss, not corruption.
         assert_eq!(load_raw(&t, f, KIND_FLAT, "meta-b"), None);
-        assert_eq!(t.corrupt(), 0);
+        assert_eq!(stats(&t).disk_corrupt, 0);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -835,10 +806,10 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
         assert_eq!(load_raw(&t, f, KIND_MULTILEVEL, "meta"), None);
-        assert_eq!(t.corrupt(), 1);
+        assert_eq!(stats(&t).disk_corrupt, 1);
         // The corrupt file was removed; the next load is a plain miss.
         assert_eq!(load_raw(&t, f, KIND_MULTILEVEL, "meta"), None);
-        assert_eq!(t.corrupt(), 1);
+        assert_eq!(stats(&t).disk_corrupt, 1);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -853,7 +824,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(load_raw(&t, f, KIND_FLAT, "meta"), None);
-        assert_eq!(t.corrupt(), 1);
+        assert_eq!(stats(&t).disk_corrupt, 1);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -868,7 +839,7 @@ mod tests {
         bytes[mid] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(load_raw(&t, f, KIND_MATRICES, "meta"), None);
-        assert_eq!(t.corrupt(), 1);
+        assert_eq!(stats(&t).disk_corrupt, 1);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -881,7 +852,7 @@ mod tests {
         old[..8].copy_from_slice(b"SSUMART1");
         std::fs::write(&path, &old).unwrap();
         assert_eq!(load_raw(&t, f, KIND_FLAT, "m"), None);
-        assert_eq!(t.corrupt(), 1);
+        assert_eq!(stats(&t).disk_corrupt, 1);
         assert!(!path.exists());
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -893,10 +864,9 @@ mod tests {
         store_now(&t, f, KIND_FLAT, "m", 5, b"not what the decoder wants");
         let path = t.state.path_for(f, KIND_FLAT, "m");
         assert_eq!(t.load(f, KIND_FLAT, "m", |_| None::<()>), None);
-        assert_eq!(t.corrupt(), 1);
-        assert_eq!(t.hits(), 0);
+        assert_eq!(stats(&t).disk_corrupt, 1);
         assert!(!path.exists());
-        assert_eq!(t.bytes_on_disk(), 0);
+        assert_eq!(stats(&t).disk_bytes, 0);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -905,18 +875,18 @@ mod tests {
         let dir = fresh_dir("quota");
         // Each artifact file is 45 bytes of envelope + 1-byte meta +
         // 100-byte payload = 146 bytes; a 300-byte quota holds two.
-        let t = DiskTier::open_with_quota(&dir, Some(300)).unwrap();
+        let t = DiskTier::open_with_quota(&dir, Some(300), Arc::default()).unwrap();
         let payload = [0u8; 100];
         store_now(&t, fp("q1"), KIND_FLAT, "m", 1, &payload);
         std::thread::sleep(std::time::Duration::from_millis(15));
         store_now(&t, fp("q2"), KIND_FLAT, "m", 1, &payload);
-        assert_eq!(t.quota_evictions(), 0);
-        assert_eq!(t.bytes_on_disk(), 292);
+        assert_eq!(stats(&t).quota_evictions, 0);
+        assert_eq!(stats(&t).disk_bytes, 292);
         std::thread::sleep(std::time::Duration::from_millis(15));
         store_now(&t, fp("q3"), KIND_FLAT, "m", 1, &payload);
         // The oldest artifact made way; the two newest survive.
-        assert_eq!(t.quota_evictions(), 1);
-        assert_eq!(t.bytes_on_disk(), 292);
+        assert_eq!(stats(&t).quota_evictions, 1);
+        assert_eq!(stats(&t).disk_bytes, 292);
         assert_eq!(load_raw(&t, fp("q1"), KIND_FLAT, "m"), None);
         assert!(load_raw(&t, fp("q2"), KIND_FLAT, "m").is_some());
         assert!(load_raw(&t, fp("q3"), KIND_FLAT, "m").is_some());
@@ -928,13 +898,13 @@ mod tests {
         let dir = fresh_dir("quota-keep");
         // Quota smaller than a single artifact: the fresh write survives
         // anyway (it is the only copy) and everything older is evicted.
-        let t = DiskTier::open_with_quota(&dir, Some(50)).unwrap();
+        let t = DiskTier::open_with_quota(&dir, Some(50), Arc::default()).unwrap();
         store_now(&t, fp("k1"), KIND_FLAT, "m", 1, b"payload one");
         std::thread::sleep(std::time::Duration::from_millis(15));
         store_now(&t, fp("k2"), KIND_FLAT, "m", 1, b"payload two");
         assert_eq!(load_raw(&t, fp("k1"), KIND_FLAT, "m"), None);
         assert!(load_raw(&t, fp("k2"), KIND_FLAT, "m").is_some());
-        assert_eq!(t.quota_evictions(), 1);
+        assert_eq!(stats(&t).quota_evictions, 1);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -946,13 +916,13 @@ mod tests {
             store(&t, fp("r1"), KIND_FLAT, "m", 1, b"abc");
             store(&t, fp("r2"), KIND_MATRICES, "m", 1, b"defgh");
         }
-        let reopened = DiskTier::open_with_quota(&dir, Some(1 << 20)).unwrap();
+        let reopened = DiskTier::open_with_quota(&dir, Some(1 << 20), Arc::default()).unwrap();
         let on_disk: u64 = std::fs::read_dir(&dir)
             .unwrap()
             .flatten()
             .map(|e| e.metadata().unwrap().len())
             .sum();
-        assert_eq!(reopened.bytes_on_disk(), on_disk);
+        assert_eq!(stats(&reopened).disk_bytes, on_disk);
         assert_eq!(on_disk, 2 * (FIXED_BYTES as u64 + 1) + 3 + 5);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -969,7 +939,7 @@ mod tests {
         assert!(load_raw(&t, f, KIND_MATRICES, "m").is_some());
         assert_eq!(load_raw(&t, f, KIND_FLAT, "m"), None);
         assert_eq!(load_raw(&t, f, KIND_MULTILEVEL, "m"), None);
-        assert_eq!(t.bytes_on_disk(), 45 + 1 + 8); // the matrices file only
+        assert_eq!(stats(&t).disk_bytes, 45 + 1 + 8); // the matrices file only
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1001,8 +971,8 @@ mod tests {
         store(&t, f, KIND_FLAT, "m", 1, b"flat");
         t.purge(f);
         t.flush();
-        assert_eq!(t.writes(), 2, "both spills ran before the purge");
-        assert_eq!(t.bytes_on_disk(), 0);
+        assert_eq!(stats(&t).disk_writes, 2, "both spills ran before the purge");
+        assert_eq!(stats(&t).disk_bytes, 0);
         let files = std::fs::read_dir(&dir).unwrap().count();
         assert_eq!(files, 0, "no file outlives its invalidation");
         let _ = std::fs::remove_dir_all(dir);
@@ -1021,7 +991,7 @@ mod tests {
                 store(&t, *f, KIND_FLAT, "m", 3, payload);
             }
             // Everything is still queued behind the hold when the tier goes.
-            assert_eq!(t.writes(), 0);
+            assert_eq!(stats(&t).disk_writes, 0);
             drop(release);
         }
         let reopened = DiskTier::open(&dir).unwrap();
@@ -1031,7 +1001,7 @@ mod tests {
                 Some((payload.clone(), 3))
             );
         }
-        assert_eq!(reopened.corrupt(), 0);
+        assert_eq!(stats(&reopened).disk_corrupt, 0);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1045,26 +1015,26 @@ mod tests {
         for i in 0..SPILL_QUEUE_BOUND {
             store(&t, kept, KIND_FLAT, &format!("m{i}"), 1, b"queued");
         }
-        assert_eq!(t.spills_dropped(), 0);
+        assert_eq!(stats(&t).disk_spills_dropped, 0);
         // Past the bound, spills return at once and are counted as drops.
         for i in 0..3 {
             store(&t, kept, KIND_FLAT, &format!("over{i}"), 1, b"dropped");
         }
-        assert_eq!(t.spills_dropped(), 3);
+        assert_eq!(stats(&t).disk_spills_dropped, 3);
         t.purge(purged);
         // The purge is queued: a load of its keys misses, not corrupt.
         assert_eq!(load_raw(&t, purged, KIND_MATRICES, "m"), None);
-        assert_eq!(t.corrupt(), 0);
+        assert_eq!(stats(&t).disk_corrupt, 0);
         drop(release);
         t.flush();
-        assert_eq!(t.writes(), 1 + SPILL_QUEUE_BOUND as u64);
+        assert_eq!(stats(&t).disk_writes, 1 + SPILL_QUEUE_BOUND as u64);
         assert!(!t.state.path_for(purged, KIND_MATRICES, "m").exists());
         assert!(load_raw(&t, kept, KIND_FLAT, "m0").is_some());
         assert_eq!(load_raw(&t, kept, KIND_FLAT, "over0"), None);
         // With the queue drained, spills are admitted again.
         store_now(&t, kept, KIND_FLAT, "after", 1, b"admitted");
         assert!(load_raw(&t, kept, KIND_FLAT, "after").is_some());
-        assert_eq!(t.spills_dropped(), 3);
+        assert_eq!(stats(&t).disk_spills_dropped, 3);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1092,14 +1062,14 @@ mod tests {
     fn assert_rejected(t: &DiskTier, f: SchemaFingerprint, kind: u8, meta: &str, bytes: &[u8]) {
         let path = t.state.path_for(f, kind, meta);
         std::fs::write(&path, bytes).unwrap();
-        let before = t.corrupt();
+        let before = stats(t).disk_corrupt;
         assert_eq!(
             load_raw(t, f, kind, meta),
             None,
             "{} bytes accepted",
             bytes.len()
         );
-        assert_eq!(t.corrupt(), before + 1);
+        assert_eq!(stats(t).disk_corrupt, before + 1);
         assert!(!path.exists(), "a rejected file is deleted");
     }
 

@@ -18,7 +18,9 @@
 //! state, not a failure.
 
 use crate::cluster::client::NodeClient;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::signals::HttpCells;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Marker header on forwarded admin requests (compared lowercased, as
@@ -29,34 +31,24 @@ pub(crate) const FANOUT_HEADER: &str = "x-schema-summary-fanout";
 pub(crate) struct Fanout {
     peers: Vec<String>,
     client: NodeClient,
-    sent: AtomicU64,
-    failed: AtomicU64,
+    /// The node's counters: broadcasts count into `fanout_sent` and
+    /// `fanout_failed`.
+    cells: Arc<HttpCells>,
 }
 
 impl Fanout {
     /// Build a broadcaster over `peers` with a per-peer request budget.
-    pub fn new(peers: Vec<String>, timeout: Duration) -> Self {
+    pub fn new(peers: Vec<String>, timeout: Duration, cells: Arc<HttpCells>) -> Self {
         Fanout {
             peers,
             client: NodeClient::new(timeout, timeout),
-            sent: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
+            cells,
         }
     }
 
     /// Number of configured peers.
     pub fn peer_count(&self) -> usize {
         self.peers.len()
-    }
-
-    /// Broadcasts delivered (2xx or 404 from the peer).
-    pub fn sent(&self) -> u64 {
-        self.sent.load(Ordering::Relaxed)
-    }
-
-    /// Broadcasts that failed (transport error or a non-applied status).
-    pub fn failed(&self) -> u64 {
-        self.failed.load(Ordering::Relaxed)
     }
 
     /// Re-send one admin request to every peer, marked so receivers do
@@ -79,10 +71,11 @@ impl Fanout {
                 .map(|resp| resp.status < 300 || resp.status == 404)
                 .unwrap_or(false);
             if delivered {
-                self.sent.fetch_add(1, Ordering::Relaxed);
+                &self.cells.fanout_sent
             } else {
-                self.failed.fetch_add(1, Ordering::Relaxed);
+                &self.cells.fanout_failed
             }
+            .fetch_add(1, Ordering::Relaxed);
         }
     }
 }

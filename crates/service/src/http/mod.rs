@@ -12,8 +12,6 @@
 //!   metrics/health (`/metrics`, `/healthz`), and admin (`/admin/*`)
 //!   handlers. A summary whose result is resident in memory is answered
 //!   on the connection thread; everything else computes on the pool;
-//! * `metrics` — Prometheus text exposition of the cache, store, catalog,
-//!   and server counters;
 //! * `server` — [`HttpServer`]: the node's routes on the connection layer
 //!   it shares with the cluster router (`listener.rs`: accept, keep-alive
 //!   loop, parse-error statuses, audit line, connection counters,
@@ -21,16 +19,15 @@
 //!   (`503` when the queue is full, `504` on timeout).
 
 pub(crate) mod fanout;
-pub(crate) mod metrics;
 pub(crate) mod request;
 pub(crate) mod response;
 pub(crate) mod router;
 mod server;
 
+pub use crate::signals::HttpServerStats;
 pub use server::HttpServer;
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
 use std::time::Duration;
 
 /// Tuning knobs for [`HttpServer`].
@@ -66,45 +63,6 @@ impl Default for HttpConfig {
             log_requests: false,
             peers: Vec::new(),
         }
-    }
-}
-
-/// Point-in-time HTTP server counters, alongside
-/// [`CacheStats`](crate::CacheStats) for the cache underneath.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HttpServerStats {
-    /// TCP connections accepted (including ones shed by the connection
-    /// cap).
-    pub accepted: u64,
-    /// HTTP requests answered, whatever the status.
-    pub served: u64,
-    /// Requests and connections shed by the queue bound or connection
-    /// cap.
-    pub shed: u64,
-    /// Requests that exceeded the per-request timeout.
-    pub timed_out: u64,
-    /// Connections currently open.
-    pub active_connections: usize,
-    /// Admin broadcasts delivered to peers (2xx or 404).
-    pub fanout_sent: u64,
-    /// Admin broadcasts that failed to reach a peer.
-    pub fanout_failed: u64,
-    /// Pooled jobs that panicked; each was answered `500`.
-    pub worker_panics: u64,
-}
-
-impl fmt::Display for HttpServerStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} accepted, {} served, {} shed, {} timed out, {} active, {} fanned out",
-            self.accepted,
-            self.served,
-            self.shed,
-            self.timed_out,
-            self.active_connections,
-            self.fanout_sent
-        )
     }
 }
 

@@ -25,11 +25,11 @@
 //! mutations.
 
 use crate::http::fanout::{Fanout, FANOUT_HEADER};
-use crate::http::metrics;
 use crate::http::request::HttpRequest;
 use crate::http::response::HttpResponse;
 use crate::http::server::Node;
 use crate::service::{ServedReply, SummaryRequest, SummaryService};
+use crate::signals::node_page;
 use schema_summary_algo::Algorithm;
 use schema_summary_core::SchemaFingerprint;
 
@@ -324,7 +324,7 @@ pub(crate) fn route(node: &Node, req: &HttpRequest) -> HttpResponse {
         ),
         ("GET", "/metrics") => HttpResponse::text(
             200,
-            metrics::render(
+            node_page(
                 &node.service.cache_stats(),
                 &node.service.catalog_stats(),
                 &node.stats(),

@@ -12,8 +12,9 @@ use crate::http::{HttpConfig, HttpServerStats};
 use crate::listener::{Connections, Frontend, Listener};
 use crate::pool::WorkerPool;
 use crate::service::{ServiceError, SummaryService};
+use crate::signals::HttpCells;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -23,23 +24,20 @@ pub(crate) struct Node {
     pool: WorkerPool,
     request_timeout: Duration,
     connections: Arc<Connections>,
-    timed_out: AtomicU64,
-    worker_panics: AtomicU64,
+    cells: Arc<HttpCells>,
     /// Peer broadcaster for admin mutations; `None` without `--peer`s.
     pub fanout: Option<Fanout>,
 }
 
 impl Node {
     pub fn stats(&self) -> HttpServerStats {
+        let [accepted, served, shed, active_connections] = self.connections.counts();
         HttpServerStats {
-            accepted: self.connections.accepted(),
-            served: self.connections.served(),
-            shed: self.connections.shed(),
-            timed_out: self.timed_out.load(Ordering::Relaxed),
-            active_connections: self.connections.active(),
-            fanout_sent: self.fanout.as_ref().map_or(0, Fanout::sent),
-            fanout_failed: self.fanout.as_ref().map_or(0, Fanout::failed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
+            accepted,
+            served,
+            shed,
+            active_connections,
+            ..self.cells.snapshot()
         }
     }
 
@@ -69,7 +67,7 @@ impl Node {
         match rx.recv_timeout(self.request_timeout) {
             Ok(result) => result.map_err(|e| HttpResponse::service_error(&e)),
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                self.timed_out.fetch_add(1, Ordering::Relaxed);
+                self.cells.timed_out.fetch_add(1, Ordering::Relaxed);
                 Err(HttpResponse::error(
                     504,
                     "timeout",
@@ -79,7 +77,7 @@ impl Node {
             // The pool runs every queued job before it shuts down, so a
             // reply sender dropped unsent means the job panicked.
             Err(mpsc::RecvTimeoutError::Disconnected) => {
-                self.worker_panics.fetch_add(1, Ordering::Relaxed);
+                self.cells.worker_panics.fetch_add(1, Ordering::Relaxed);
                 Err(HttpResponse::error(
                     500,
                     "internal",
@@ -119,6 +117,7 @@ impl HttpServer {
         service: Arc<SummaryService>,
         config: HttpConfig,
     ) -> std::io::Result<HttpServer> {
+        let cells = Arc::new(HttpCells::default());
         let listener = Listener::bind(
             addr,
             config.max_connections,
@@ -128,10 +127,9 @@ impl HttpServer {
                 pool: WorkerPool::new(config.workers, config.queue_capacity),
                 request_timeout: config.request_timeout,
                 connections,
-                timed_out: AtomicU64::new(0),
-                worker_panics: AtomicU64::new(0),
                 fanout: (!config.peers.is_empty())
-                    .then(|| Fanout::new(config.peers, config.request_timeout)),
+                    .then(|| Fanout::new(config.peers, config.request_timeout, Arc::clone(&cells))),
+                cells,
             },
         )?;
         Ok(HttpServer { listener })

@@ -75,6 +75,7 @@ mod listener;
 mod lru;
 mod pool;
 pub mod service;
+mod signals;
 mod store;
 
 pub use catalog::{Artifacts, CatalogEntry, SchemaCatalog};

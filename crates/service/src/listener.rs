@@ -79,24 +79,17 @@ impl Connections {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// TCP connections accepted, including ones shed by the cap.
-    pub fn accepted(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed)
-    }
-
-    /// Requests answered, whatever the status.
-    pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
-    }
-
-    /// Connections shed by the cap plus requests shed by the front-end.
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Connections currently open.
-    pub fn active(&self) -> usize {
-        self.active.load(Ordering::Relaxed)
+    /// TCP connections accepted (including ones shed by the cap),
+    /// requests answered (whatever the status), connections and requests
+    /// shed, and connections open now: read when a stats snapshot is
+    /// taken.
+    pub fn counts(&self) -> [u64; 4] {
+        [
+            self.accepted.load(Ordering::Relaxed),
+            self.served.load(Ordering::Relaxed),
+            self.shed.load(Ordering::Relaxed),
+            self.active.load(Ordering::Relaxed) as u64,
+        ]
     }
 
     fn stopping(&self) -> bool {

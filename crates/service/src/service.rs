@@ -7,6 +7,8 @@ use crate::catalog::SchemaCatalog;
 use crate::cluster::journal::{CatalogJournal, JournalEntry};
 use crate::disk::DiskTier;
 use crate::export::{ExportElement, SummaryExport};
+use crate::signals::CacheCells;
+pub use crate::signals::CacheStats;
 use crate::store::{ArtifactStore, CachedArtifact, RefreshOutcome, ResultKey, ResultShape};
 use schema_summary_algo::algorithms::{balance_summary, max_coverage, max_importance};
 use schema_summary_algo::assignment::{assign_elements, summary_coverage, summary_importance};
@@ -20,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, RwLock};
 
 /// Service construction parameters.
@@ -260,104 +262,6 @@ impl From<SchemaError> for ServiceError {
     }
 }
 
-/// Point-in-time cache statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// Requests answered from memory without running an algorithm:
-    /// result-cache hits plus single-flight followers served by a
-    /// concurrent leader.
-    pub hits: u64,
-    /// Requests that ran an algorithm. Single-flight guarantees at most
-    /// one miss per distinct in-flight key, however many threads race.
-    pub misses: u64,
-    /// Requests answered by rehydrating a spilled result from the disk
-    /// tier (counted in neither `hits` nor `misses`).
-    pub disk_hits: u64,
-    /// Entries displaced by LRU capacity pressure.
-    pub evictions: u64,
-    /// Entries dropped by explicit invalidation.
-    pub invalidations: u64,
-    /// Results currently cached in memory.
-    pub entries: usize,
-    /// Schemas currently registered.
-    pub schemas: usize,
-    /// Cumulative wall time (µs) spent computing cold results — each cache
-    /// entry is admitted with its share of this as its recomputation cost.
-    pub compute_micros: u64,
-    /// Recomputation cost (µs) of the currently resident entries: what a
-    /// cold restart without a disk tier would pay to rebuild the cache.
-    pub cached_compute_micros: u64,
-    /// Recomputation cost (µs) displaced by capacity eviction — the loss
-    /// the cost-weighted victim selection works to minimize.
-    pub evicted_compute_micros: u64,
-    /// All-pairs matrix computations actually run.
-    pub matrices_computed: u64,
-    /// All-pairs matrix computations avoided by rehydrating spilled bytes.
-    pub matrices_rehydrated: u64,
-    /// Artifact files spilled to the disk tier.
-    pub disk_writes: u64,
-    /// Disk-tier files discarded as corrupt (and recomputed).
-    pub disk_corrupt: u64,
-    /// Bytes currently spilled under the store directory.
-    pub disk_bytes: u64,
-    /// Spilled artifacts evicted to keep the store under its byte quota.
-    pub quota_evictions: u64,
-    /// Spills dropped instead of queued: the spiller's queue was full
-    /// (or the spiller gone). The artifact stays memory-only.
-    pub disk_spills_dropped: u64,
-    /// Cached results dropped through the admin evict API (counted in
-    /// neither `evictions` nor `invalidations`).
-    pub admin_evictions: u64,
-    /// Schema deltas served warm: the new fingerprint's matrices were
-    /// spliced from the old fingerprint's instead of recomputed.
-    pub delta_refreshes: u64,
-    /// Matrix rows re-explored by warm delta refreshes (the rest of each
-    /// spliced matrix was copied bit-exactly from the old fingerprint).
-    pub delta_rows_recomputed: u64,
-    /// Schema deltas that were routed to the refresh path but fell back
-    /// to a cold invalidation (destructive change, oversized footprint,
-    /// unregistered fingerprint, or nothing spliceable).
-    pub delta_fallback_cold: u64,
-    /// Warm refreshes whose delta was a pure rescale (same graph, every
-    /// exploration lane bit-identical): coverage rewritten in place, no
-    /// rows re-explored.
-    pub delta_refreshes_rescale: u64,
-    /// Warm refreshes whose delta touched edge weights (same graph,
-    /// some RC lanes moved): the affected rows were re-explored and
-    /// spliced into the carried matrices.
-    pub delta_refreshes_splice: u64,
-    /// Warm refreshes whose delta was additive structural growth (new
-    /// elements and/or new value links): the matrices were resized
-    /// in place, appended rows explored fresh.
-    pub delta_refreshes_structural: u64,
-    /// Named registrations rehydrated from the catalog journal at
-    /// startup (0 when the service has no store directory or the journal
-    /// was empty).
-    pub catalog_rehydrated: u64,
-    /// Importance fixpoints restarted from a previous version's vector by
-    /// the warm delta path instead of computed from the cold cardinality
-    /// init (ε-close, mass-conserving — DESIGN.md §3.19).
-    pub importance_seeded: u64,
-    /// Cumulative fixpoint iterations the seeded restarts stopped short
-    /// of their chain's cold baseline (the iteration count of the
-    /// original cold run, carried forward across versions).
-    pub importance_iterations_saved: u64,
-}
-
-impl CacheStats {
-    /// `hits / (hits + misses)`, or 0 when nothing was requested yet.
-    /// Disk hits are excluded on both sides: the rate measures the
-    /// memory tier.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// What [`SummaryService::apply_delta`] did with one schema delta: this
 /// refresh's own outcome, unaffected by refreshes running beside it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -410,8 +314,6 @@ pub struct SummaryService {
     /// Append-only catalog journal (store-dir deployments only), replayed
     /// at startup so names and graphs survive restarts.
     journal: Option<CatalogJournal>,
-    /// Named registrations recovered from the journal at startup.
-    rehydrated: AtomicU64,
 }
 
 impl Default for SummaryService {
@@ -434,10 +336,12 @@ impl SummaryService {
     /// Create a service, propagating a failure to open the persistent
     /// store directory instead of panicking.
     pub fn try_new(config: ServiceConfig) -> std::io::Result<Self> {
+        let cells = Arc::new(CacheCells::default());
         let disk = match &config.store_dir {
             Some(dir) => Some(Arc::new(DiskTier::open_with_quota(
                 dir,
                 config.store_max_bytes,
+                Arc::clone(&cells),
             )?)),
             None => None,
         };
@@ -446,30 +350,34 @@ impl SummaryService {
             config.cache_shards,
             config.catalog_shards,
             disk,
+            cells,
         );
         let mut service = SummaryService {
             config,
             names: RwLock::new(HashMap::new()),
             store,
             journal: None,
-            rehydrated: AtomicU64::new(0),
         };
         if let Some(dir) = service.config.store_dir.clone() {
             // Replay before installing the journal, so rehydration does
             // not re-append what it reads.
-            let (entries, _damaged) = CatalogJournal::replay(&dir);
-            for entry in entries {
+            let replay = CatalogJournal::replay(&dir);
+            let cells = Arc::clone(&service.store.cells);
+            cells
+                .catalog_journal_damaged
+                .fetch_add(replay.damaged, Ordering::Relaxed);
+            for entry in replay.entries {
                 match entry {
                     JournalEntry::Register { name, graph, stats } => {
                         service.register_named_inner(name, Arc::new(*graph), Arc::new(*stats), false);
-                        service.rehydrated.fetch_add(1, Ordering::Relaxed);
+                        cells.catalog_rehydrated.fetch_add(1, Ordering::Relaxed);
                     }
                     JournalEntry::Retire(fingerprint) => {
                         service.store.invalidate(fingerprint);
                     }
                 }
             }
-            service.journal = Some(CatalogJournal::open(&dir)?);
+            service.journal = Some(CatalogJournal::open(&dir, replay.verified)?);
         }
         Ok(service)
     }
@@ -1224,47 +1132,7 @@ impl SummaryService {
 
     /// Current cache statistics.
     pub fn cache_stats(&self) -> CacheStats {
-        let counters = self.store.catalog().compute_counters();
-        let (disk_writes, disk_corrupt, disk_bytes, quota_evictions, disk_spills_dropped) =
-            match self.store.disk() {
-                Some(disk) => (
-                    disk.writes(),
-                    disk.corrupt(),
-                    disk.bytes_on_disk(),
-                    disk.quota_evictions(),
-                    disk.spills_dropped(),
-                ),
-                None => (0, 0, 0, 0, 0),
-            };
-        CacheStats {
-            hits: self.store.hits(),
-            misses: self.store.misses(),
-            disk_hits: self.store.disk_hits(),
-            evictions: self.store.evictions(),
-            invalidations: self.store.invalidations(),
-            entries: self.store.entries(),
-            schemas: self.store.catalog().len(),
-            compute_micros: self.store.compute_micros(),
-            cached_compute_micros: self.store.cached_compute_micros(),
-            evicted_compute_micros: self.store.evicted_compute_micros(),
-            matrices_computed: counters.matrices_computed(),
-            matrices_rehydrated: counters.matrices_rehydrated(),
-            disk_writes,
-            disk_corrupt,
-            disk_bytes,
-            quota_evictions,
-            disk_spills_dropped,
-            admin_evictions: self.store.admin_evictions(),
-            delta_refreshes: self.store.delta_refreshes(),
-            delta_rows_recomputed: self.store.delta_rows_recomputed(),
-            delta_fallback_cold: self.store.delta_fallback_cold(),
-            delta_refreshes_rescale: self.store.delta_refreshes_rescale(),
-            delta_refreshes_splice: self.store.delta_refreshes_splice(),
-            delta_refreshes_structural: self.store.delta_refreshes_structural(),
-            catalog_rehydrated: self.rehydrated.load(Ordering::Relaxed),
-            importance_seeded: counters.importance_seeded(),
-            importance_iterations_saved: counters.importance_iterations_saved(),
-        }
+        self.store.stats()
     }
 
     /// Snapshot the resident result-cache entries (the admin inspection

@@ -23,10 +23,11 @@ use crate::catalog::SchemaCatalog;
 use crate::disk::{DiskTier, SpillSource, KIND_FLAT, KIND_MULTILEVEL};
 use crate::lru::ShardedLru;
 use crate::service::{MultiLevelArtifact, ServiceError, SummaryResult};
+use crate::signals::{CacheCells, CacheStats};
 use schema_summary_algo::{plan_delta, Algorithm, SummarizerConfig};
 use schema_summary_core::{DeltaClass, SchemaDelta, SchemaFingerprint};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -200,24 +201,9 @@ pub(crate) struct ArtifactStore {
     results: ShardedLru<ResultKey, CachedArtifact>,
     in_flight: Mutex<HashMap<ResultKey, Arc<Flight>>>,
     disk: Option<Arc<DiskTier>>,
-    hits: AtomicU64,
-    disk_hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
-    admin_evictions: AtomicU64,
-    compute_micros: AtomicU64,
-    evicted_compute_micros: AtomicU64,
-    delta_refreshes: AtomicU64,
-    delta_rows_recomputed: AtomicU64,
-    delta_fallback_cold: AtomicU64,
-    /// Warm refreshes split by delta class (`delta_refreshes` stays the
-    /// class-agnostic total): pure cardinality rescales, same-graph edge
-    /// splices, and additive structural (grown) splices. Cold fallbacks
-    /// keep their own counter above.
-    delta_refreshes_rescale: AtomicU64,
-    delta_refreshes_splice: AtomicU64,
-    delta_refreshes_structural: AtomicU64,
+    /// The cache's counters, shared with the catalog, the disk tier and
+    /// the service.
+    pub cells: Arc<CacheCells>,
 }
 
 /// What [`ArtifactStore::refresh`] did with a schema delta.
@@ -249,26 +235,14 @@ impl ArtifactStore {
         cache_shards: usize,
         catalog_shards: usize,
         disk: Option<Arc<DiskTier>>,
+        cells: Arc<CacheCells>,
     ) -> Self {
         ArtifactStore {
-            catalog: SchemaCatalog::with_tiers(catalog_shards, disk.clone()),
+            catalog: SchemaCatalog::with_tiers(catalog_shards, disk.clone(), Arc::clone(&cells)),
             results: ShardedLru::new(cache_capacity, cache_shards),
             in_flight: Mutex::new(HashMap::new()),
             disk,
-            hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            admin_evictions: AtomicU64::new(0),
-            compute_micros: AtomicU64::new(0),
-            evicted_compute_micros: AtomicU64::new(0),
-            delta_refreshes: AtomicU64::new(0),
-            delta_rows_recomputed: AtomicU64::new(0),
-            delta_fallback_cold: AtomicU64::new(0),
-            delta_refreshes_rescale: AtomicU64::new(0),
-            delta_refreshes_splice: AtomicU64::new(0),
-            delta_refreshes_structural: AtomicU64::new(0),
+            cells,
         }
     }
 
@@ -286,7 +260,7 @@ impl ArtifactStore {
     /// single-flight, so it is safe to call where blocking is not.
     pub fn lookup(&self, key: &ResultKey) -> Option<CachedArtifact> {
         let artifact = self.results.get(key)?;
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.cells.hits.fetch_add(1, Ordering::Relaxed);
         Some(artifact)
     }
 
@@ -341,20 +315,20 @@ impl ArtifactStore {
                             CachedArtifact::from_payload(kind, payload)
                         })
                     {
-                        self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                        self.cells.disk_hits.fetch_add(1, Ordering::Relaxed);
                         self.insert(key, artifact.clone(), cost.max(1));
                         publisher.result = Some(artifact.clone());
                         return Ok((artifact, true));
                     }
                 }
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.cells.misses.fetch_add(1, Ordering::Relaxed);
                 let started = Instant::now();
                 let artifact = compute()?;
                 // Floored at 1µs so even trivially fast entries carry a
                 // nonzero cost (a zero would make them permanent eviction
                 // victims for the wrong reason: "free", not "cheap").
                 let cost = (started.elapsed().as_micros() as u64).max(1);
-                self.compute_micros.fetch_add(cost, Ordering::Relaxed);
+                self.cells.compute_micros.fetch_add(cost, Ordering::Relaxed);
                 if let Some((disk, meta)) = tier {
                     disk.spill(
                         key.fingerprint,
@@ -370,7 +344,7 @@ impl ArtifactStore {
             }
             match flight.wait() {
                 Some(artifact) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    self.cells.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok((artifact, true));
                 }
                 // The leader failed; retry from the top (most likely
@@ -382,8 +356,9 @@ impl ArtifactStore {
 
     fn insert(&self, key: &ResultKey, artifact: CachedArtifact, cost: u64) {
         if let Some((_, _, evicted_cost)) = self.results.insert(key.clone(), artifact, cost) {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            self.evicted_compute_micros
+            self.cells.evictions.fetch_add(1, Ordering::Relaxed);
+            self.cells
+                .evicted_compute_micros
                 .fetch_add(evicted_cost, Ordering::Relaxed);
         }
     }
@@ -428,7 +403,9 @@ impl ArtifactStore {
         let (Some(old_entry), Some(new_entry)) =
             (self.catalog.get(old_fp), self.catalog.get(new_fp))
         else {
-            self.delta_fallback_cold.fetch_add(1, Ordering::Relaxed);
+            self.cells
+                .delta_fallback_cold
+                .fetch_add(1, Ordering::Relaxed);
             return RefreshOutcome::Cold(self.invalidate(old_fp));
         };
         let mut spliced: Vec<(SummarizerConfig, Arc<Vec<bool>>)> = Vec::new();
@@ -491,7 +468,9 @@ impl ArtifactStore {
             spliced.push((config, Arc::new(row_changed)));
         }
         if spliced.is_empty() {
-            self.delta_fallback_cold.fetch_add(1, Ordering::Relaxed);
+            self.cells
+                .delta_fallback_cold
+                .fetch_add(1, Ordering::Relaxed);
             return RefreshOutcome::Cold(self.invalidate(old_fp));
         }
         // The refresh qualifies as warm: stage the old importance vectors
@@ -519,19 +498,20 @@ impl ArtifactStore {
                 Some((key, artifact, mask))
             })
             .collect();
-        self.delta_refreshes.fetch_add(1, Ordering::Relaxed);
+        self.cells.delta_refreshes.fetch_add(1, Ordering::Relaxed);
         // Split the warm total by the delta's class: a pure rescale spliced
         // zero rows, an edge touch re-explored in place, an additive
         // structural delta grew the matrices. (Destructive deltas never
         // plan warm, so they only ever land on `delta_fallback_cold`.)
         match delta.class {
-            DeltaClass::Rescale => &self.delta_refreshes_rescale,
-            DeltaClass::EdgeTouch => &self.delta_refreshes_splice,
-            DeltaClass::AdditiveStructural => &self.delta_refreshes_structural,
-            DeltaClass::Destructive => &self.delta_fallback_cold,
+            DeltaClass::Rescale => &self.cells.delta_refreshes_rescale,
+            DeltaClass::EdgeTouch => &self.cells.delta_refreshes_splice,
+            DeltaClass::AdditiveStructural => &self.cells.delta_refreshes_structural,
+            DeltaClass::Destructive => &self.cells.delta_fallback_cold,
         }
         .fetch_add(1, Ordering::Relaxed);
-        self.delta_rows_recomputed
+        self.cells
+            .delta_rows_recomputed
             .fetch_add(rows_total, Ordering::Relaxed);
         let dropped = self.invalidate(old_fp);
         RefreshOutcome::Warm {
@@ -550,7 +530,8 @@ impl ArtifactStore {
             disk.purge(fingerprint);
         }
         let dropped = self.results.retain(|key| key.fingerprint != fingerprint);
-        self.invalidations
+        self.cells
+            .invalidations
             .fetch_add(dropped as u64, Ordering::Relaxed);
         dropped
     }
@@ -564,7 +545,8 @@ impl ArtifactStore {
             disk.purge_results(fingerprint);
         }
         let dropped = self.results.retain(|key| key.fingerprint != fingerprint);
-        self.admin_evictions
+        self.cells
+            .admin_evictions
             .fetch_add(dropped as u64, Ordering::Relaxed);
         dropped
     }
@@ -575,68 +557,15 @@ impl ArtifactStore {
         self.results.entries()
     }
 
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    pub fn disk_hits(&self) -> u64 {
-        self.disk_hits.load(Ordering::Relaxed)
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations.load(Ordering::Relaxed)
-    }
-
-    pub fn admin_evictions(&self) -> u64 {
-        self.admin_evictions.load(Ordering::Relaxed)
-    }
-
-    pub fn delta_refreshes(&self) -> u64 {
-        self.delta_refreshes.load(Ordering::Relaxed)
-    }
-
-    pub fn delta_rows_recomputed(&self) -> u64 {
-        self.delta_rows_recomputed.load(Ordering::Relaxed)
-    }
-
-    pub fn delta_fallback_cold(&self) -> u64 {
-        self.delta_fallback_cold.load(Ordering::Relaxed)
-    }
-
-    pub fn delta_refreshes_rescale(&self) -> u64 {
-        self.delta_refreshes_rescale.load(Ordering::Relaxed)
-    }
-
-    pub fn delta_refreshes_splice(&self) -> u64 {
-        self.delta_refreshes_splice.load(Ordering::Relaxed)
-    }
-
-    pub fn delta_refreshes_structural(&self) -> u64 {
-        self.delta_refreshes_structural.load(Ordering::Relaxed)
-    }
-
-    pub fn compute_micros(&self) -> u64 {
-        self.compute_micros.load(Ordering::Relaxed)
-    }
-
-    pub fn evicted_compute_micros(&self) -> u64 {
-        self.evicted_compute_micros.load(Ordering::Relaxed)
-    }
-
-    pub fn entries(&self) -> usize {
-        self.results.len()
-    }
-
-    pub fn cached_compute_micros(&self) -> u64 {
-        self.results.total_cost()
+    /// The cache's counters, with the resident entries, their cost and
+    /// the registered schemas read now.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            entries: self.results.len() as u64,
+            schemas: self.catalog.len() as u64,
+            cached_compute_micros: self.results.total_cost(),
+            ..self.cells.snapshot()
+        }
     }
 
     pub fn result_shard_lens(&self) -> Vec<usize> {

@@ -375,6 +375,47 @@ fn reregistration_after_rehydration_does_not_regrow_the_journal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A record torn at the journal's tail is cut off at the next start, so
+/// a registration made after the tear survives the restart after that.
+#[test]
+fn registrations_after_a_torn_journal_record_survive_restarts() {
+    let dir = fresh_store_dir("torn-journal");
+    let open = || {
+        SummaryService::try_new(ServiceConfig {
+            store_dir: Some(dir.clone()),
+            ..Default::default()
+        })
+        .unwrap()
+    };
+    let schema = |sf| {
+        let (graph, stats, _) = tpch::schema(sf);
+        (Arc::new(graph), Arc::new(stats))
+    };
+    let ((g1, s1), (g2, s2), (g3, s3)) = (schema(1.0), schema(2.0), schema(3.0));
+
+    let first = open();
+    let fp1 = first.register_named("one", g1, s1);
+    first.register_named("two", g2, s2);
+    drop(first);
+    let journal = dir.join("catalog.journal");
+    let bytes = std::fs::read(&journal).unwrap();
+    std::fs::write(&journal, &bytes[..bytes.len() - 7]).unwrap();
+
+    let second = open();
+    assert_eq!(second.cache_stats().catalog_journal_damaged, 1);
+    assert_eq!(second.fingerprint_of("two"), None);
+    let fp3 = second.register_named("three", g3, s3);
+    drop(second);
+
+    let third = open();
+    assert_eq!(third.cache_stats().catalog_journal_damaged, 0);
+    assert_eq!(third.fingerprint_of("one"), Some(fp1));
+    assert_eq!(third.fingerprint_of("three"), Some(fp3));
+    assert_eq!(third.fingerprint_of("two"), None);
+    assert_eq!(third.cache_stats().catalog_rehydrated, 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ------------------------------------------------- cross-node invalidation
 
 /// Admin mutations applied on one node fan out to its peers, marked

@@ -93,7 +93,7 @@ fn concurrent_mixed_requests_match_single_threaded() {
     // Capacity (default 1024) is far above the working set: no evictions,
     // and every distinct key stays resident.
     assert_eq!(stats.evictions, 0);
-    assert_eq!(stats.entries, requests.len());
+    assert_eq!(stats.entries, requests.len() as u64);
     assert_eq!(stats.schemas, 2);
 }
 
